@@ -82,26 +82,20 @@ python -m repro validate --replay
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
 from .cluster import Cluster
-from .config.presets import (ExperimentConfig, kmeans_preset,
-                             small_graph_preset, terasort_preset,
-                             wordcount_grep_preset)
+from .config.presets import build_config
 from .core import render_bar_table, render_run
 from .harness import figures as figure_registry
 from .harness.runner import run_correlated
 from .hdfs import HDFS
-from .workloads import (ConnectedComponents, Grep, KMeans, PageRank,
-                        TeraSort, WordCount)
-from .workloads.datagen.graphs import (LARGE_GRAPH, MEDIUM_GRAPH,
-                                       SMALL_GRAPH)
+from .workloads import build_workload
 
 __all__ = ["main", "build_workload", "build_config", "WORKLOADS",
            "FIGURES"]
-
-GiB = float(2**30)
 
 WORKLOADS = ["wordcount", "grep", "terasort", "kmeans", "pagerank",
              "connected-components"]
@@ -130,44 +124,6 @@ RESOURCE_FIGURES = {
 }
 
 
-def build_config(workload: str, nodes: int) -> ExperimentConfig:
-    """The paper's preset for a workload at a scale."""
-    if workload in ("wordcount", "grep"):
-        return wordcount_grep_preset(nodes)
-    if workload == "terasort":
-        return terasort_preset(nodes)
-    if workload == "kmeans":
-        return kmeans_preset(nodes)
-    if workload in ("pagerank", "connected-components"):
-        return small_graph_preset(nodes)
-    raise ValueError(f"unknown workload {workload!r}")
-
-
-def build_workload(name: str, nodes: int, graph: str = "small",
-                   iterations: Optional[int] = None):
-    """Instantiate a workload at its paper scale for ``nodes``."""
-    cfg = build_config(name, nodes)
-    graphs = {"small": SMALL_GRAPH, "medium": MEDIUM_GRAPH,
-              "large": LARGE_GRAPH}
-    if name == "wordcount":
-        return WordCount(nodes * 24 * GiB)
-    if name == "grep":
-        return Grep(nodes * 24 * GiB)
-    if name == "terasort":
-        return TeraSort(nodes * 32 * GiB,
-                        num_partitions=cfg.flink.default_parallelism)
-    if name == "kmeans":
-        return KMeans(51 * GiB, iterations=iterations or 10)
-    if name == "pagerank":
-        return PageRank(graphs[graph], iterations=iterations or 20,
-                        edge_partitions=cfg.spark.edge_partitions)
-    if name == "connected-components":
-        return ConnectedComponents(graphs[graph],
-                                   iterations=iterations or 23,
-                                   edge_partitions=cfg.spark.edge_partitions)
-    raise ValueError(f"unknown workload {name!r}")
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -184,17 +140,36 @@ def cmd_list(_args) -> int:
 
 
 def _open_checkpoint(args, fingerprint):
-    """Build the CheckpointStore for ``--checkpoint DIR [--resume]``
-    (None when the flag is absent)."""
+    """The CheckpointStore for ``--checkpoint DIR [--resume]``, to use
+    with ``with`` (a ``nullcontext`` yielding None without the flag)."""
     if getattr(args, "checkpoint", None) is None:
         if getattr(args, "resume", False):
             print("error: --resume requires --checkpoint DIR",
                   file=sys.stderr)
             raise SystemExit(2)
-        return None
+        return contextlib.nullcontext()
     from .harness.checkpoint import CheckpointStore
     return CheckpointStore(args.checkpoint, fingerprint,
                            resume=args.resume)
+
+
+def _run_campaign(args, sweep, fingerprint, **params) -> int:
+    """Run one fig19-fig23 campaign: journal it to ``--checkpoint``
+    under ``fingerprint(**params)``, print the figure, report gaps on
+    stderr.  Gaps fail the command only under ``--strict``."""
+    execution = {name: getattr(args, attr) for name, attr in
+                 (("timeout", "timeout"), ("retries", "retries"),
+                  ("backoff", "task_backoff")) if hasattr(args, attr)}
+    with _open_checkpoint(args, fingerprint(**params)) as checkpoint:
+        fig = sweep(**params, **execution, strict=args.strict or None,
+                    jobs=args.jobs, checkpoint=checkpoint)
+    print(fig.describe())
+    if not fig.gaps:
+        return 0
+    print(f"{len(fig.gaps)} cell(s) missing (worker crash/timeout); "
+          f"rerun with --checkpoint/--resume to fill them in",
+          file=sys.stderr)
+    return 1 if args.strict else 0
 
 
 def cmd_run(args) -> int:
@@ -213,14 +188,12 @@ def cmd_figure(args) -> int:
     fig_id = args.id
     strict = args.strict or None
     if fig_id in FIGURES:
-        checkpoint = _open_checkpoint(
-            args, {"figure_id": fig_id, "trials": args.trials,
-                   "seed": args.seed})
-        fig = FIGURES[fig_id](trials=args.trials, seed=args.seed,
-                              strict=strict, jobs=args.jobs,
-                              checkpoint=checkpoint)
-        if checkpoint is not None:
-            checkpoint.close()
+        with _open_checkpoint(args, {"figure_id": fig_id,
+                                     "trials": args.trials,
+                                     "seed": args.seed}) as checkpoint:
+            fig = FIGURES[fig_id](trials=args.trials, seed=args.seed,
+                                  strict=strict, jobs=args.jobs,
+                                  checkpoint=checkpoint)
         print(render_bar_table(fig.series.values(), title=fig.title))
         return 0
     if fig_id in RESOURCE_FIGURES:
@@ -236,77 +209,27 @@ def cmd_figure(args) -> int:
             print()
         return 0
     if fig_id == "fig19":
-        from .resilience import campaign_fingerprint
-        from .resilience.sweep import ENGINES as RES_ENGINES
-        checkpoint = _open_checkpoint(args, campaign_fingerprint(
-            "fig19", RES_ENGINES, WORKLOADS, (0.0, 0.5, 1.0, 2.0),
-            args.trials, 8, args.seed))
-        fig = figure_registry.fig19_resilience(
-            seed=args.seed, trials=args.trials, strict=strict,
-            jobs=args.jobs, checkpoint=checkpoint)
-        if checkpoint is not None:
-            checkpoint.close()
-        print(fig.describe())
-        return 1 if (fig.gaps and args.strict) else 0
-    if fig_id == "fig22":
-        from .streaming.sweep import (DEFAULT_FAULT_RATES,
-                                      DEFAULT_LOAD_MULTIPLES,
-                                      STREAMING_ENGINES,
-                                      degradation_campaign_fingerprint)
-        checkpoint = _open_checkpoint(args, degradation_campaign_fingerprint(
-            "fig22", STREAMING_ENGINES, DEFAULT_LOAD_MULTIPLES,
-            DEFAULT_FAULT_RATES, ("none", "degrade"), 8, args.seed,
-            40.0, 1.0))
-        fig = figure_registry.fig22_degradation(
-            seed=args.seed, strict=strict, jobs=args.jobs,
-            checkpoint=checkpoint)
-        if checkpoint is not None:
-            checkpoint.close()
-        print(fig.describe())
-        return 1 if (fig.gaps and args.strict) else 0
-    if fig_id == "fig23":
-        from .scheduler.sweep import (DEFAULT_JOBS_TARGET, DEFAULT_LOADS,
-                                      DEFAULT_POLICIES, default_templates,
-                                      tenancy_campaign_fingerprint)
-        checkpoint = _open_checkpoint(args, tenancy_campaign_fingerprint(
-            "fig23", DEFAULT_POLICIES, DEFAULT_LOADS, args.trials, 8,
-            args.seed, 0.0, DEFAULT_JOBS_TARGET,
-            [t.name for t in default_templates(8)]))
-        fig = figure_registry.fig23_tenancy(
-            seed=args.seed, trials=args.trials, strict=strict,
-            jobs=args.jobs, checkpoint=checkpoint)
-        if checkpoint is not None:
-            checkpoint.close()
-        print(fig.describe())
-        return 1 if (fig.gaps and args.strict) else 0
+        from .resilience.sweep import campaign_fingerprint, resilience_sweep
+        return _run_campaign(args, resilience_sweep, campaign_fingerprint,
+                             trials=args.trials, seed=args.seed)
     if fig_id in ("fig20", "fig21"):
-        from .streaming.sweep import (ARRIVAL_KINDS,
-                                      DEFAULT_CHECKPOINT_INTERVALS,
-                                      DEFAULT_DURATION,
-                                      DEFAULT_LOAD_FRACTIONS,
-                                      FIG21_CRASH_AT, FIG21_LOAD_FRACTION,
-                                      STREAMING_ENGINES,
-                                      streaming_campaign_fingerprint)
-        if fig_id == "fig20":
-            fingerprint = streaming_campaign_fingerprint(
-                "fig20", STREAMING_ENGINES, ARRIVAL_KINDS,
-                DEFAULT_LOAD_FRACTIONS, None, 8, args.seed,
-                DEFAULT_DURATION, 1.0, None)
-        else:
-            fingerprint = streaming_campaign_fingerprint(
-                "fig21", STREAMING_ENGINES, ("poisson",),
-                (FIG21_LOAD_FRACTION,), DEFAULT_CHECKPOINT_INTERVALS, 8,
-                args.seed, DEFAULT_DURATION, 1.0, FIG21_CRASH_AT)
-        checkpoint = _open_checkpoint(args, fingerprint)
-        maker = (figure_registry.fig20_streaming_latency
-                 if fig_id == "fig20"
-                 else figure_registry.fig21_streaming_recovery)
-        fig = maker(seed=args.seed, strict=strict, jobs=args.jobs,
-                    checkpoint=checkpoint)
-        if checkpoint is not None:
-            checkpoint.close()
-        print(fig.describe())
-        return 1 if (fig.gaps and args.strict) else 0
+        from .streaming.sweep import (FIG21, streaming_campaign_fingerprint,
+                                      streaming_sweep)
+        return _run_campaign(args, streaming_sweep,
+                             streaming_campaign_fingerprint, seed=args.seed,
+                             **(FIG21 if fig_id == "fig21" else {}))
+    if fig_id == "fig22":
+        from .streaming.sweep import (degradation_campaign_fingerprint,
+                                      degradation_sweep)
+        return _run_campaign(args, degradation_sweep,
+                             degradation_campaign_fingerprint,
+                             seed=args.seed)
+    if fig_id == "fig23":
+        from .scheduler.sweep import (tenancy_campaign_fingerprint,
+                                      tenancy_sweep)
+        return _run_campaign(args, tenancy_sweep,
+                             tenancy_campaign_fingerprint,
+                             trials=args.trials, seed=args.seed)
     if fig_id == "fig18":
         fig = figure_registry.fig18_fault_recovery(seed=args.seed,
                                                    strict=strict,
@@ -332,32 +255,16 @@ def cmd_figure(args) -> int:
 
 
 def cmd_resilience(args) -> int:
-    from .resilience import campaign_fingerprint
-    from .resilience.sweep import default_workloads, resilience_sweep
+    from .resilience.sweep import (campaign_fingerprint, default_workloads,
+                                   resilience_sweep)
     workloads = default_workloads(args.nodes)
     if args.workloads:
         wanted = set(args.workloads)
         workloads = [w for w in workloads if w[0] in wanted]
-    names = [name for name, _w, _c in workloads]
-    checkpoint = _open_checkpoint(args, campaign_fingerprint(
-        "fig19", args.engines, names, args.rates, args.trials,
-        args.nodes, args.seed, args.stragglers))
-    fig = resilience_sweep(
-        workloads=workloads, engines=args.engines, rates=args.rates,
-        trials=args.trials, nodes=args.nodes, seed=args.seed,
-        stragglers=args.stragglers, strict=args.strict or None,
-        jobs=args.jobs, timeout=args.timeout, retries=args.retries,
-        backoff=args.task_backoff, checkpoint=checkpoint)
-    if checkpoint is not None:
-        checkpoint.close()
-    print(fig.describe())
-    if fig.gaps:
-        print(f"{len(fig.gaps)} cell(s) missing (worker crash/"
-              f"timeout); rerun with --checkpoint/--resume to fill "
-              f"them in", file=sys.stderr)
-        if args.strict:
-            return 1
-    return 0
+    return _run_campaign(
+        args, resilience_sweep, campaign_fingerprint, workloads=workloads,
+        engines=args.engines, rates=args.rates, trials=args.trials,
+        nodes=args.nodes, seed=args.seed, stragglers=args.stragglers)
 
 
 def cmd_streaming(args) -> int:
@@ -369,99 +276,39 @@ def cmd_streaming(args) -> int:
         print("--degrade and --recovery are mutually exclusive",
               file=sys.stderr)
         return 2
+    common = dict(engines=args.engines, nodes=args.nodes, seed=args.seed,
+                  duration=args.duration,
+                  batch_interval=args.batch_interval)
     if args.degrade:
-        multiples = tuple(args.load_multiples)
-        rates = tuple(args.fault_rates)
-        policies = tuple(args.policies)
-        checkpoint = _open_checkpoint(args, degradation_campaign_fingerprint(
-            "fig22", args.engines, multiples, rates, policies, args.nodes,
-            args.seed, args.duration, args.batch_interval))
-        fig = degradation_sweep(
-            figure_id="fig22", engines=args.engines,
-            load_multiples=multiples, fault_rates=rates,
-            policies=policies, nodes=args.nodes, seed=args.seed,
-            duration=args.duration, batch_interval=args.batch_interval,
-            strict=args.strict or None, jobs=args.jobs,
-            timeout=args.timeout, retries=args.retries,
-            backoff=args.task_backoff, checkpoint=checkpoint)
-        if checkpoint is not None:
-            checkpoint.close()
-        print(fig.describe())
-        if fig.gaps:
-            print(f"{len(fig.gaps)} cell(s) missing (worker crash/"
-                  f"timeout); rerun with --checkpoint/--resume to fill "
-                  f"them in", file=sys.stderr)
-            if args.strict:
-                return 1
-        return 0
+        return _run_campaign(
+            args, degradation_sweep, degradation_campaign_fingerprint,
+            figure_id="fig22", load_multiples=tuple(args.load_multiples),
+            fault_rates=tuple(args.fault_rates),
+            policies=tuple(args.policies), **common)
     if args.recovery:
-        figure_id = "fig21"
-        kinds = ("poisson",)
-        fractions = (args.load,)
-        intervals = tuple(args.checkpoint_intervals)
-        crash_at = args.crash_at
+        shape = dict(figure_id="fig21", arrival_kinds=("poisson",),
+                     load_fractions=(args.load,),
+                     checkpoint_intervals=tuple(args.checkpoint_intervals),
+                     crash_at=args.crash_at)
     else:
-        figure_id = "fig20"
-        kinds = tuple(args.arrivals)
-        fractions = tuple(args.loads)
-        intervals = None
-        crash_at = None
-    checkpoint = _open_checkpoint(args, streaming_campaign_fingerprint(
-        figure_id, args.engines, kinds, fractions, intervals, args.nodes,
-        args.seed, args.duration, args.batch_interval, crash_at))
-    fig = streaming_sweep(
-        figure_id=figure_id, engines=args.engines, arrival_kinds=kinds,
-        load_fractions=fractions, checkpoint_intervals=intervals,
-        nodes=args.nodes, seed=args.seed, duration=args.duration,
-        batch_interval=args.batch_interval, crash_at=crash_at,
-        strict=args.strict or None, jobs=args.jobs, timeout=args.timeout,
-        retries=args.retries, backoff=args.task_backoff,
-        checkpoint=checkpoint)
-    if checkpoint is not None:
-        checkpoint.close()
-    print(fig.describe())
-    if fig.gaps:
-        print(f"{len(fig.gaps)} cell(s) missing (worker crash/timeout); "
-              f"rerun with --checkpoint/--resume to fill them in",
-              file=sys.stderr)
-        if args.strict:
-            return 1
-    return 0
+        shape = dict(figure_id="fig20", arrival_kinds=tuple(args.arrivals),
+                     load_fractions=tuple(args.loads))
+    return _run_campaign(args, streaming_sweep,
+                         streaming_campaign_fingerprint, **shape, **common)
 
 
 def cmd_tenancy(args) -> int:
-    from .scheduler.sweep import (default_queues, default_templates,
-                                  tenancy_campaign_fingerprint,
-                                  tenancy_sweep)
-    policies = tuple(args.policies)
-    loads = tuple(args.loads)
-    nodes = args.nodes
-    jobs_target = args.jobs_per_cell
+    from .scheduler.sweep import tenancy_campaign_fingerprint, tenancy_sweep
+    nodes, loads, jobs_target = args.nodes, args.loads, args.jobs_per_cell
     if args.quick:
         nodes = min(nodes, 4)
         loads = (0.5, 0.9)
         jobs_target = min(jobs_target, 6)
-    templates = default_templates(nodes)
-    checkpoint = _open_checkpoint(args, tenancy_campaign_fingerprint(
-        "fig23", policies, loads, args.trials, nodes, args.seed,
-        args.crash_rate, jobs_target, [t.name for t in templates]))
-    fig = tenancy_sweep(
-        policies=policies, loads=loads, trials=args.trials, nodes=nodes,
-        seed=args.seed, jobs_target=jobs_target,
-        crash_rate=args.crash_rate, templates=templates,
-        queues=default_queues(nodes), strict=args.strict or None,
-        jobs=args.jobs, timeout=args.timeout, retries=args.retries,
-        backoff=args.task_backoff, checkpoint=checkpoint)
-    if checkpoint is not None:
-        checkpoint.close()
-    print(fig.describe())
-    if fig.gaps:
-        print(f"{len(fig.gaps)} cell(s) missing (worker crash/timeout); "
-              f"rerun with --checkpoint/--resume to fill them in",
-              file=sys.stderr)
-        if args.strict:
-            return 1
-    return 0
+    return _run_campaign(
+        args, tenancy_sweep, tenancy_campaign_fingerprint,
+        policies=tuple(args.policies), loads=tuple(loads),
+        trials=args.trials, nodes=nodes, seed=args.seed,
+        jobs_target=jobs_target, crash_rate=args.crash_rate)
 
 
 def cmd_serve(args) -> int:
@@ -550,7 +397,6 @@ def cmd_faults(args) -> int:
     from .faults import (FaultPlan, FlinkRestartPolicy, RetryPolicy,
                          run_with_faults)
     from .harness.faults import run_with_failure
-    from .harness.runner import run_once
     workload = build_workload(args.workload, args.nodes, graph=args.graph)
     config = build_config(args.workload, args.nodes)
     strict = args.strict or None

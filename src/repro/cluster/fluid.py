@@ -291,41 +291,21 @@ class FluidScheduler:
     wakeup handler) resolve all affected components once and solve the
     single-flow ones together — via one numpy pass for large batches —
     with bit-identical results.
-
-    ``fast_forward`` (opt-in, default off) trades exactness for speed:
-    when set to a relative tolerance ``tol``, a wakeup also *absorbs*
-    flow completions due within ``tol * max(now, 1)`` seconds — but
-    never past the next independently scheduled kernel event — and
-    delivers them at the current instant.  Each absorbed completion
-    lands at most ``tol * max(now, 1)`` seconds early; early barriers
-    compound along the critical path, so a run with ``k`` absorbed
-    completions on its critical path can finish up to a factor
-    ``1 - (1 - tol)^k`` early (see docs/performance.md for measured
-    drifts).  With ``fast_forward=None`` the scheduler is bit-identical
-    to the exact implementation.
     """
 
-    def __init__(self, sim: Simulation, trace_detail: str = "full",
-                 fast_forward: Optional[float] = None) -> None:
+    def __init__(self, sim: Simulation, trace_detail: str = "full") -> None:
         if trace_detail not in TRACE_DETAIL_MODES:
             raise ValueError(
                 f"trace_detail must be one of {TRACE_DETAIL_MODES}, "
                 f"got {trace_detail!r}")
-        if fast_forward is not None and not 0.0 < fast_forward < 1.0:
-            raise ValueError(
-                f"fast_forward must be None or in (0, 1), got {fast_forward}")
         self.sim = sim
         self.trace_detail = trace_detail
-        self.fast_forward = fast_forward
         self._flows: Set[Flow] = set()
         self._finish_heap: List = []  # (finish_time, flow_id, flow, rate_stamp)
         self._wakeup: Optional[Event] = None
         self._wakeup_time = math.inf
         self.completed_count = 0
         self.aborted_count = 0
-        #: Completions delivered early by the fast-forward mode (0 when
-        #: the mode is off — i.e. whenever bit-exactness is required).
-        self.fast_forwarded_count = 0
         self.total_bytes_moved = 0.0
         #: Completed bytes per capacity name (conservation ledger).
         self.bytes_by_capacity: Dict[str, float] = {}
@@ -1104,18 +1084,6 @@ class FluidScheduler:
         flows = self._flows
         finished: List[Flow] = []
         cutoff = now + 1e-9
-        ff = self.fast_forward
-        if ff is not None:
-            # Fast-forward: also absorb completions due within the
-            # relative tolerance, but never past the next independently
-            # scheduled kernel event (nothing else can observe the
-            # intermediate rates before it fires).
-            horizon = now + ff * (now if now > 1.0 else 1.0)
-            nxt = self.sim.peek()
-            if nxt < horizon:
-                horizon = nxt
-            if horizon > cutoff:
-                cutoff = horizon
         pop = heapq.heappop
         while heap:
             entry = heap[0]
@@ -1136,12 +1104,6 @@ class FluidScheduler:
             dt = now - flow.last_update
             rem = flow.remaining - flow.rate * dt
             rem = rem if rem > 0.0 else 0.0
-            if ff is not None and rem > 0.0:
-                # Absorbed early by fast-forward: the residual bytes are
-                # accounted as moved (the ledger uses flow.size); only
-                # the completion timestamp is approximate.
-                rem = 0.0
-                self.fast_forwarded_count += 1
             flow.remaining = rem
             flow.last_update = now
             flows.discard(flow)

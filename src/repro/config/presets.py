@@ -18,7 +18,7 @@ __all__ = [
     "ExperimentConfig",
     "wordcount_grep_preset", "terasort_preset",
     "kmeans_preset", "small_graph_preset", "medium_graph_preset",
-    "large_graph_preset",
+    "large_graph_preset", "build_config",
     "CORES_PER_NODE",
 ]
 
@@ -221,3 +221,16 @@ def large_graph_preset(nodes: int, *, double_edge_partitions: bool = False,
     )
     return ExperimentConfig(spark=spark, flink=flink,
                             hdfs_block_size=256 * MiB, nodes=nodes)
+
+
+def build_config(workload: str, nodes: int) -> ExperimentConfig:
+    """The paper's preset for a workload at a scale."""
+    if workload in ("wordcount", "grep"):
+        return wordcount_grep_preset(nodes)
+    if workload == "terasort":
+        return terasort_preset(nodes)
+    if workload == "kmeans":
+        return kmeans_preset(nodes)
+    if workload in ("pagerank", "connected-components"):
+        return small_graph_preset(nodes)
+    raise ValueError(f"unknown workload {workload!r}")

@@ -30,22 +30,45 @@ uninterrupted run (the resume-identity tests pin this with digests).
 Records must be JSON-ish (the canonical-digest value types plus NaN).
 Only the coordinating process writes; workers report results back to
 it, so the journal has a single writer and needs no locking.
+
+Every campaign (fig19-fig23) drives its store through one loop,
+:func:`journaled_map`, and names itself with one identity dict,
+:func:`campaign_identity`: the store's fingerprint *is* that dict, and
+each cell's journal key is :func:`cell_key` of it, so no parameter can
+reach one and miss the other.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import os
+import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import (Any, Callable, Dict, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from ..validation.digest import digest_payload
+from .parallel import robust_map
 
-__all__ = ["CheckpointError", "CheckpointStore"]
+__all__ = ["CheckpointError", "CheckpointStore", "EXECUTION_PARAMS",
+           "ENV_CELL_DELAY", "campaign_identity", "cell_delay", "cell_key",
+           "journaled_map"]
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
 QUARANTINE_NAME = "quarantine.jsonl"
+
+#: Sweep arguments that change how a campaign runs, never what it
+#: computes; everything else is part of the campaign's identity.
+EXECUTION_PARAMS = frozenset(
+    ("strict", "jobs", "timeout", "retries", "backoff", "checkpoint"))
+
+#: Test hook: wall-clock seconds every campaign cell sleeps before it
+#: runs (stretches campaign wall time for the kill-and-resume tests
+#: without touching any simulated value).
+ENV_CELL_DELAY = "REPRO_CELL_DELAY"
 
 
 class CheckpointError(RuntimeError):
@@ -241,3 +264,73 @@ class CheckpointStore:
     def __repr__(self) -> str:
         return (f"CheckpointStore({str(self.root)!r}, "
                 f"{len(self._records)} record(s))")
+
+
+# ----------------------------------------------------------------------
+# the campaign loop
+# ----------------------------------------------------------------------
+def campaign_identity(sweep: Callable,
+                      params: Mapping[str, Any]) -> Dict[str, Any]:
+    """Every identity argument of ``sweep(**params)``.
+
+    The sweep's own defaults fill in whatever ``params`` leaves out, and
+    :data:`EXECUTION_PARAMS` are dropped; callers replace values that
+    do not canonicalise (workload objects, templates) with their names
+    or payloads.
+    """
+    bound = inspect.signature(sweep).bind(**params)
+    bound.apply_defaults()
+    return {name: value for name, value in bound.arguments.items()
+            if name not in EXECUTION_PARAMS}
+
+
+def cell_key(identity: Dict[str, Any], cell: Dict[str, Any]) -> str:
+    """Journal key of one cell: its coordinates within its campaign."""
+    return digest_payload({"campaign": identity, "cell": cell})
+
+
+def cell_delay() -> None:
+    """Sleep for ``$REPRO_CELL_DELAY`` seconds (unset: no delay)."""
+    delay = float(os.environ.get(ENV_CELL_DELAY, "0") or 0)
+    if delay > 0:
+        time.sleep(delay)
+
+
+def journaled_map(fn: Callable, tasks: Sequence[Tuple],
+                  keys: Sequence[str], store: Optional[Any] = None,
+                  jobs: Optional[int] = None,
+                  timeout: Optional[float] = None, retries: int = 1,
+                  backoff: float = 0.5
+                  ) -> List[Tuple[Optional[Any], Optional[str]]]:
+    """Run ``fn(*tasks[i])`` for every cell ``i`` not yet in ``store``.
+
+    ``store`` is anything with ``get(key)`` and ``save(key, payload)``
+    (a :class:`CheckpointStore`, or the advisor's digest cache).  Cells
+    whose key it holds are replayed; the rest run through
+    :func:`~repro.harness.parallel.robust_map`, and each result is saved
+    under ``keys[i]`` as it lands, so a kill loses only the cells in
+    flight.  Returns, in cell order, ``(payload, None)`` for a finished
+    cell or ``(None, gap_detail)`` for one the harness gave up on.
+    Gaps are not saved, so a resume re-attempts them; their detail
+    numbers the task by its cell index, so a resumed campaign reports a
+    gap exactly as an uninterrupted one does.
+    """
+    results = [store.get(key) if store is not None else None
+               for key in keys]
+    pending = [i for i, payload in enumerate(results) if payload is None]
+
+    def _save(pos: int, payload: Any) -> None:
+        if store is not None:
+            store.save(keys[pending[pos]], payload)
+
+    fresh, failures = robust_map(
+        fn, [tasks[i] for i in pending], jobs=jobs, timeout=timeout,
+        retries=retries, backoff=backoff, on_result=_save)
+    for i, payload in zip(pending, fresh):
+        results[i] = payload
+    gaps = {pending[f.index]:
+            dataclasses.replace(f, index=pending[f.index]).describe()
+            for f in failures}
+    return [(payload, None if payload is not None
+             else gaps.get(i, "missing result"))
+            for i, payload in enumerate(results)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config.presets import (ExperimentConfig, kmeans_preset,
                               large_graph_preset, medium_graph_preset,
@@ -662,8 +662,14 @@ def fig18_fault_recovery(seed: int = 0, nodes: int = 4,
 # ----------------------------------------------------------------------
 # Fig. 19 (extension) — resilience under sustained fault rates
 # ----------------------------------------------------------------------
+def _given(**overrides: Any) -> Dict[str, Any]:
+    """The overrides a caller passed; ``None`` keeps the sweep's default."""
+    return {name: value for name, value in overrides.items()
+            if value is not None}
+
+
 def fig19_resilience(seed: int = 0, nodes: int = 8,
-                     rates: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
+                     rates: Optional[Sequence[float]] = None,
                      trials: int = 1, stragglers: int = 0,
                      workload_names: Optional[Sequence[str]] = None,
                      strict: Optional[bool] = None,
@@ -691,9 +697,9 @@ def fig19_resilience(seed: int = 0, nodes: int = 8,
             raise ValueError(f"unknown workload(s) {sorted(unknown)}")
         workloads = [w for w in workloads if w[0] in wanted]
     return resilience_sweep(
-        workloads=workloads, rates=rates, trials=trials, nodes=nodes,
-        seed=seed, stragglers=stragglers, strict=strict, jobs=jobs,
-        timeout=timeout, checkpoint=checkpoint, figure_id="fig19")
+        workloads=workloads, trials=trials, nodes=nodes, seed=seed,
+        stragglers=stragglers, strict=strict, jobs=jobs, timeout=timeout,
+        checkpoint=checkpoint, figure_id="fig19", **_given(rates=rates))
 
 
 # ----------------------------------------------------------------------
@@ -716,17 +722,12 @@ def fig20_streaming_latency(seed: int = 0, nodes: int = 8,
     Deterministic per seed and bit-identical at any job count; pass
     ``checkpoint`` to journal cells and resume a killed campaign.
     """
-    from ..streaming.sweep import (ARRIVAL_KINDS, DEFAULT_DURATION,
-                                   DEFAULT_LOAD_FRACTIONS, streaming_sweep)
+    from ..streaming.sweep import streaming_sweep
     return streaming_sweep(
-        figure_id="fig20",
-        arrival_kinds=(tuple(arrival_kinds) if arrival_kinds is not None
-                       else ARRIVAL_KINDS),
-        load_fractions=(tuple(load_fractions) if load_fractions is not None
-                        else DEFAULT_LOAD_FRACTIONS),
-        nodes=nodes, seed=seed,
-        duration=duration if duration is not None else DEFAULT_DURATION,
-        strict=strict, jobs=jobs, timeout=timeout, checkpoint=checkpoint)
+        figure_id="fig20", nodes=nodes, seed=seed, strict=strict,
+        jobs=jobs, timeout=timeout, checkpoint=checkpoint,
+        **_given(arrival_kinds=arrival_kinds,
+                 load_fractions=load_fractions, duration=duration))
 
 
 def fig21_streaming_recovery(seed: int = 0, nodes: int = 8,
@@ -746,19 +747,11 @@ def fig21_streaming_recovery(seed: int = 0, nodes: int = 8,
     last RDD checkpoint).  Longer intervals mean more replay, so
     recovery time grows with the interval.
     """
-    from ..streaming.sweep import (DEFAULT_CHECKPOINT_INTERVALS,
-                                   DEFAULT_DURATION, FIG21_CRASH_AT,
-                                   FIG21_LOAD_FRACTION, streaming_sweep)
-    return streaming_sweep(
-        figure_id="fig21",
-        load_fractions=(FIG21_LOAD_FRACTION,),
-        checkpoint_intervals=(tuple(checkpoint_intervals)
-                              if checkpoint_intervals is not None
-                              else DEFAULT_CHECKPOINT_INTERVALS),
-        crash_at=crash_at if crash_at is not None else FIG21_CRASH_AT,
-        nodes=nodes, seed=seed,
-        duration=duration if duration is not None else DEFAULT_DURATION,
-        strict=strict, jobs=jobs, timeout=timeout, checkpoint=checkpoint)
+    from ..streaming.sweep import FIG21, streaming_sweep
+    params = {**FIG21, **_given(checkpoint_intervals=checkpoint_intervals,
+                                crash_at=crash_at, duration=duration)}
+    return streaming_sweep(nodes=nodes, seed=seed, strict=strict, jobs=jobs,
+                           timeout=timeout, checkpoint=checkpoint, **params)
 
 
 def fig22_degradation(seed: int = 0, nodes: int = 8,
@@ -783,21 +776,12 @@ def fig22_degradation(seed: int = 0, nodes: int = 8,
     fraction.  Deterministic per seed and bit-identical at any job
     count; pass ``checkpoint`` to journal cells and resume.
     """
-    from ..streaming.sweep import (DEFAULT_DURATION, DEFAULT_FAULT_RATES,
-                                   DEFAULT_LOAD_MULTIPLES,
-                                   degradation_sweep)
+    from ..streaming.sweep import degradation_sweep
     return degradation_sweep(
-        figure_id="fig22",
-        load_multiples=(tuple(load_multiples)
-                        if load_multiples is not None
-                        else DEFAULT_LOAD_MULTIPLES),
-        fault_rates=(tuple(fault_rates) if fault_rates is not None
-                     else DEFAULT_FAULT_RATES),
-        policies=(tuple(policies) if policies is not None
-                  else ("none", "degrade")),
-        nodes=nodes, seed=seed,
-        duration=duration if duration is not None else DEFAULT_DURATION,
-        strict=strict, jobs=jobs, timeout=timeout, checkpoint=checkpoint)
+        figure_id="fig22", nodes=nodes, seed=seed, strict=strict,
+        jobs=jobs, timeout=timeout, checkpoint=checkpoint,
+        **_given(load_multiples=load_multiples, fault_rates=fault_rates,
+                 policies=policies, duration=duration))
 
 
 # ----------------------------------------------------------------------
@@ -824,14 +808,9 @@ def fig23_tenancy(seed: int = 0, nodes: int = 8,
     bit-identical at any job count; pass ``checkpoint`` to journal
     cells and resume a killed campaign.
     """
-    from ..scheduler.sweep import (DEFAULT_JOBS_TARGET, DEFAULT_LOADS,
-                                   DEFAULT_POLICIES, tenancy_sweep)
+    from ..scheduler.sweep import tenancy_sweep
     return tenancy_sweep(
-        policies=(tuple(policies) if policies is not None
-                  else DEFAULT_POLICIES),
-        loads=tuple(loads) if loads is not None else DEFAULT_LOADS,
-        trials=trials, nodes=nodes, seed=seed,
-        jobs_target=(jobs_target if jobs_target is not None
-                     else DEFAULT_JOBS_TARGET),
-        crash_rate=crash_rate, strict=strict, jobs=jobs,
-        timeout=timeout, checkpoint=checkpoint, figure_id="fig23")
+        trials=trials, nodes=nodes, seed=seed, crash_rate=crash_rate,
+        strict=strict, jobs=jobs, timeout=timeout, checkpoint=checkpoint,
+        figure_id="fig23",
+        **_given(policies=policies, loads=loads, jobs_target=jobs_target))

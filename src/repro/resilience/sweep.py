@@ -18,28 +18,25 @@ simulation runs, so the whole figure is digest-pinned and
 bit-identical at any ``--jobs`` value.
 
 The campaign layer is *itself* resilient: cells run under
-:func:`~repro.harness.parallel.robust_map` (per-trial timeout, bounded
-retry, graceful degradation — a crashed or hung worker fails only its
-own cell, recorded as an explicit gap), and a
-:class:`~repro.harness.checkpoint.CheckpointStore` journals every
-finished cell so a killed campaign resumes with ``--resume`` and
-reproduces the uninterrupted digests exactly.
+:func:`~repro.harness.checkpoint.journaled_map` (per-trial timeout,
+bounded retry, graceful degradation — a crashed or hung worker fails
+only its own cell, recorded as an explicit gap), which journals every
+finished cell into a :class:`~repro.harness.checkpoint.CheckpointStore`
+so a killed campaign resumes with ``--resume`` and reproduces the
+uninterrupted digests exactly.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config.presets import (ExperimentConfig, GiB, kmeans_preset,
                               small_graph_preset, terasort_preset,
                               wordcount_grep_preset)
-from ..harness.checkpoint import CheckpointStore
-from ..harness.parallel import TaskFailure, robust_map
-from ..validation.digest import digest_payload
+from ..harness.checkpoint import (CheckpointStore, campaign_identity,
+                                  cell_delay, cell_key, journaled_map)
 from ..validation.invariants import strict_enabled
 from ..workloads import (ConnectedComponents, Grep, KMeans, PageRank,
                          TeraSort, WordCount)
@@ -49,11 +46,6 @@ from .stochastic import StochasticFaultModel
 
 __all__ = ["ResilienceCell", "ResilienceCurve", "ResilienceFigure",
            "campaign_fingerprint", "default_workloads", "resilience_sweep"]
-
-#: Test hook: wall-clock seconds to sleep per cell (stretches campaign
-#: wall time for the kill-and-resume tests without touching any
-#: simulated value).
-ENV_DELAY = "REPRO_RESILIENCE_DELAY"
 
 ENGINES = ("flink", "spark")
 
@@ -125,17 +117,7 @@ class ResilienceCell:
         return self.faulted_seconds / self.baseline_seconds
 
     def payload(self) -> Dict[str, Any]:
-        return {
-            "engine": self.engine, "workload": self.workload,
-            "nodes": self.nodes, "rate": self.rate, "trial": self.trial,
-            "seed": self.seed, "plan_digest": self.plan_digest,
-            "plan_events": self.plan_events, "success": self.success,
-            "baseline_seconds": self.baseline_seconds,
-            "faulted_seconds": self.faulted_seconds,
-            "retries": self.retries, "restarts": self.restarts,
-            "crashes": self.crashes, "failure": self.failure,
-            "gap": self.gap, "gap_detail": self.gap_detail,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_payload(payload: Dict[str, Any]) -> "ResilienceCell":
@@ -149,9 +131,7 @@ def _cell_task(engine: str, workload: Workload, config: ExperimentConfig,
     across worker processes and journals into a checkpoint store."""
     from ..faults import FlinkRestartPolicy, RetryPolicy, run_with_faults
     from ..harness.runner import run_once
-    delay = float(os.environ.get(ENV_DELAY, "0") or 0)
-    if delay > 0:
-        time.sleep(delay)
+    cell_delay()
     model = StochasticFaultModel.from_rate(rate).with_(
         stragglers=stragglers)
     plan = model.compile(seed, config.nodes)
@@ -273,86 +253,54 @@ def resilience_sweep(
     """Run the full resilience campaign and assemble the figure.
 
     One cell per (workload, engine, rate, trial), all independent and
-    deterministic, fanned out via :func:`robust_map`: a cell whose
+    deterministic, fanned out via :func:`journaled_map`: a cell whose
     worker raises, crashes or exceeds ``timeout`` is retried up to
     ``retries`` times and then reported as an explicit gap — the
     campaign always completes.  ``checkpoint`` journals finished cells;
     pass a resumed store to continue a killed campaign (gap cells are
     *not* journaled, so they are re-attempted on resume).
     """
+    # First statement, so ``locals()`` holds exactly the arguments.
+    identity = campaign_fingerprint(**locals())
     if workloads is None:
         workloads = default_workloads(nodes)
     strict_flag = strict_enabled(strict)
-    labels: List[Tuple[str, str, float, int, int]] = []
+    labels: List[Dict[str, Any]] = []
     tasks = []
     for name, workload, config in workloads:
         for engine in engines:
             for rate in rates:
                 for trial in range(trials):
                     cell_seed = seed + 1000 * trial
-                    labels.append((engine, name, rate, trial, cell_seed))
+                    labels.append(dict(engine=engine, workload=name,
+                                       nodes=nodes, rate=rate, trial=trial,
+                                       seed=cell_seed))
                     tasks.append((engine, workload, config, name, rate,
                                   trial, cell_seed, stragglers,
                                   strict_flag))
-    keys = [digest_payload({
-        "figure_id": figure_id, "engine": e, "workload": w, "rate": r,
-        "trial": t, "seed": s, "nodes": nodes, "stragglers": stragglers,
-    }) for e, w, r, t, s in labels]
-
-    pending = list(range(len(tasks)))
-    results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    if checkpoint is not None:
-        pending = []
-        for i, key in enumerate(keys):
-            if key in checkpoint:
-                results[i] = checkpoint.load(key)
-            else:
-                pending.append(i)
-
-    failures: List[TaskFailure] = []
-    if pending:
-        def _journal(pending_pos: int, payload: Dict[str, Any]) -> None:
-            if checkpoint is not None:
-                checkpoint.save(keys[pending[pending_pos]], payload)
-
-        fresh, failures = robust_map(
-            _cell_task, [tasks[i] for i in pending], jobs=jobs,
-            timeout=timeout, retries=retries, backoff=backoff,
-            on_result=_journal)
-        for pos, result in zip(pending, fresh):
-            results[pos] = result
-
-    cells: List[ResilienceCell] = []
-    gaps: List[ResilienceCell] = []
-    failed = {pending[f.index]: f for f in failures}
-    for i, (engine, name, rate, trial, cell_seed) in enumerate(labels):
-        if results[i] is not None:
-            cells.append(ResilienceCell.from_payload(results[i]))
-            continue
-        failure = failed.get(i)
-        gap = ResilienceCell(
-            engine=engine, workload=name, nodes=nodes, rate=rate,
-            trial=trial, seed=cell_seed, gap=True,
-            gap_detail=(failure.describe() if failure is not None
-                        else "missing result"))
-        cells.append(gap)
-        gaps.append(gap)
+    outcomes = journaled_map(
+        _cell_task, tasks, [cell_key(identity, c) for c in labels],
+        checkpoint, jobs=jobs, timeout=timeout, retries=retries,
+        backoff=backoff)
+    cells = [ResilienceCell.from_payload(payload) if payload is not None
+             else ResilienceCell(**label, gap=True, gap_detail=gap)
+             for label, (payload, gap) in zip(labels, outcomes)]
     return ResilienceFigure(
         figure_id=figure_id,
         title=(f"Resilience under sustained fault rates ({nodes} nodes, "
                f"rates per node per run)"),
         nodes=nodes, rates=list(rates), trials=trials, cells=cells,
-        gaps=gaps)
+        gaps=[c for c in cells if c.gap])
 
 
-def campaign_fingerprint(figure_id: str, engines: Sequence[str],
-                         workload_names: Sequence[str],
-                         rates: Sequence[float], trials: int, nodes: int,
-                         seed: int, stragglers: int = 0) -> Dict[str, Any]:
-    """The identity payload a checkpoint store pins for a campaign."""
-    return {
-        "figure_id": figure_id, "engines": list(engines),
-        "workloads": list(workload_names), "rates": list(rates),
-        "trials": trials, "nodes": nodes, "seed": seed,
-        "stragglers": stragglers,
-    }
+def campaign_fingerprint(**params) -> Dict[str, Any]:
+    """The identity a store pins for ``resilience_sweep(**params)``.
+
+    Every non-execution argument with the sweep's defaults filled in;
+    workloads are named, not serialised."""
+    identity = campaign_identity(resilience_sweep, params)
+    workloads = identity["workloads"]
+    if workloads is None:
+        workloads = default_workloads(identity["nodes"])
+    identity["workloads"] = [name for name, _w, _c in workloads]
+    return identity

@@ -20,23 +20,21 @@ byte-identical arrival sequence) and runs it through
 The profiling runs happen **once, in the campaign parent**, so workers
 stay cheap and every cell shares the same services map.
 
-The campaign layer reuses the PR 5 resilience machinery verbatim:
-:func:`~repro.harness.parallel.robust_map` fan-out with explicit gaps,
-:class:`~repro.harness.checkpoint.CheckpointStore` journaling for
-``--resume``, and digest-pinned results bit-identical at any ``--jobs``.
+The campaign layer is the resilience sweep's:
+:func:`~repro.harness.checkpoint.journaled_map` fan-out with explicit
+gaps and a :class:`~repro.harness.checkpoint.CheckpointStore` journal
+for ``--resume``, with digest-pinned results bit-identical at any
+``--jobs``.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..harness.checkpoint import CheckpointStore
-from ..harness.parallel import TaskFailure, robust_map
-from ..validation.digest import digest_payload
+from ..harness.checkpoint import (CheckpointStore, campaign_identity,
+                                  cell_delay, cell_key, journaled_map)
 from ..validation.invariants import strict_enabled
 from .core import run_tenancy
 from .jobs import JobTemplate, profile_templates
@@ -46,11 +44,6 @@ from .policies import POLICY_NAMES, QueueConfig, make_policy
 __all__ = ["TenancyCell", "TenancyFigure", "default_queues",
            "default_templates", "tenancy_campaign_fingerprint",
            "tenancy_sweep"]
-
-#: Test hook: wall-clock seconds to sleep per cell (stretches campaign
-#: wall time for the kill-and-resume tests without touching any
-#: simulated value).
-ENV_DELAY = "REPRO_TENANCY_DELAY"
 
 DEFAULT_LOADS = (0.3, 0.6, 0.9)
 DEFAULT_POLICIES = POLICY_NAMES
@@ -138,19 +131,7 @@ class TenancyCell:
         return sum(self.waits) / len(self.waits) if self.waits else math.nan
 
     def payload(self) -> Dict[str, Any]:
-        return {
-            "policy": self.policy, "load": self.load, "trial": self.trial,
-            "seed": self.seed, "nodes": self.nodes,
-            "plan_digest": self.plan_digest,
-            "arrival_rate": self.arrival_rate,
-            "submitted": self.submitted, "completed": self.completed,
-            "failed": self.failed, "rejected": self.rejected,
-            "preemptions": self.preemptions, "crashes": self.crashes,
-            "slowdowns": list(self.slowdowns), "waits": list(self.waits),
-            "jain": self.jain, "utilization": self.utilization,
-            "makespan": self.makespan, "events": self.events,
-            "gap": self.gap, "gap_detail": self.gap_detail,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_payload(payload: Dict[str, Any]) -> "TenancyCell":
@@ -164,9 +145,7 @@ def _cell_task(policy_name: str, load: float, trial: int, cell_seed: int,
                jobs_target: int, strict: bool) -> Dict[str, Any]:
     """Run one tenancy cell; module-level and JSON-in/out so it fans
     across worker processes and journals into a checkpoint store."""
-    delay = float(os.environ.get(ENV_DELAY, "0") or 0)
-    if delay > 0:
-        time.sleep(delay)
+    cell_delay()
     templates = tuple(JobTemplate(**p) for p in templates_payload)
     queues = tuple(QueueConfig(**p) for p in queues_payload)
     work = mean_job_work(templates, services)
@@ -284,9 +263,11 @@ def tenancy_sweep(
     / nodes); ``jobs_target`` sets the expected arrivals per cell, so
     the arrival horizon shrinks as load grows.  ``crash_rate`` > 0 adds
     compiled mid-campaign node crashes (expected crashes per node per
-    horizon).  Cells fan out via :func:`robust_map` with explicit gaps
+    horizon).  Cells fan out via :func:`journaled_map` with explicit gaps
     and checkpoint journaling, exactly like the resilience sweep.
     """
+    # First statement, so ``locals()`` holds exactly the arguments.
+    identity = tenancy_campaign_fingerprint(**locals())
     if templates is None:
         templates = default_templates(nodes)
     if queues is None:
@@ -297,84 +278,41 @@ def tenancy_sweep(
     profiles = profile_templates(templates, seed=seed, strict=strict_flag)
     services = {name: p.service_seconds for name, p in profiles.items()}
 
-    templates_payload = [t.payload() for t in templates]
-    queues_payload = [q.payload() for q in queues]
-    labels: List[Tuple[str, float, int, int]] = []
-    tasks = []
-    for policy in policies:
-        for load in loads:
-            for trial in range(trials):
-                # Common random numbers: the seed ignores the policy,
-                # so every policy faces identical arrival plans.
-                cell_seed = seed + 1000 * trial
-                labels.append((policy, load, trial, cell_seed))
-                tasks.append((policy, load, trial, cell_seed, nodes,
-                              templates_payload, queues_payload, services,
-                              crash_rate, jobs_target, strict_flag))
-    keys = [digest_payload({
-        "figure_id": figure_id, "policy": p, "load": lo, "trial": t,
-        "seed": s, "nodes": nodes, "crash_rate": crash_rate,
-        "jobs_target": jobs_target, "templates": templates_payload,
-        "queues": queues_payload,
-    }) for p, lo, t, s in labels]
-
-    pending = list(range(len(tasks)))
-    results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    if checkpoint is not None:
-        pending = []
-        for i, key in enumerate(keys):
-            if key in checkpoint:
-                results[i] = checkpoint.load(key)
-            else:
-                pending.append(i)
-
-    failures: List[TaskFailure] = []
-    if pending:
-        def _journal(pending_pos: int, payload: Dict[str, Any]) -> None:
-            if checkpoint is not None:
-                checkpoint.save(keys[pending[pending_pos]], payload)
-
-        fresh, failures = robust_map(
-            _cell_task, [tasks[i] for i in pending], jobs=jobs,
-            timeout=timeout, retries=retries, backoff=backoff,
-            on_result=_journal)
-        for pos, result in zip(pending, fresh):
-            results[pos] = result
-
-    cells: List[TenancyCell] = []
-    gaps: List[TenancyCell] = []
-    failed = {pending[f.index]: f for f in failures}
-    for i, (policy, load, trial, cell_seed) in enumerate(labels):
-        if results[i] is not None:
-            cells.append(TenancyCell.from_payload(results[i]))
-            continue
-        failure = failed.get(i)
-        gap = TenancyCell(
-            policy=policy, load=load, trial=trial, seed=cell_seed,
-            nodes=nodes, gap=True,
-            gap_detail=(failure.describe() if failure is not None
-                        else "missing result"))
-        cells.append(gap)
-        gaps.append(gap)
+    # Common random numbers: the seed ignores the policy, so every
+    # policy faces identical arrival plans.
+    labels = [dict(policy=policy, load=load, trial=trial,
+                   seed=seed + 1000 * trial, nodes=nodes)
+              for policy in policies for load in loads
+              for trial in range(trials)]
+    tasks = [(c["policy"], c["load"], c["trial"], c["seed"], nodes,
+              identity["templates"], identity["queues"], services,
+              crash_rate, jobs_target, strict_flag) for c in labels]
+    outcomes = journaled_map(
+        _cell_task, tasks, [cell_key(identity, c) for c in labels],
+        checkpoint, jobs=jobs, timeout=timeout, retries=retries,
+        backoff=backoff)
+    cells = [TenancyCell.from_payload(payload) if payload is not None
+             else TenancyCell(**label, gap=True, gap_detail=gap)
+             for label, (payload, gap) in zip(labels, outcomes)]
     return TenancyFigure(
         figure_id=figure_id,
         title=(f"Multi-tenant scheduling under offered load ({nodes} "
                f"nodes, {len(templates)} job template(s), "
                f"~{jobs_target} job(s)/cell)"),
         nodes=nodes, loads=list(loads), policies=list(policies),
-        trials=trials, cells=cells, gaps=gaps)
+        trials=trials, cells=cells, gaps=[c for c in cells if c.gap])
 
 
-def tenancy_campaign_fingerprint(
-        figure_id: str, policies: Sequence[str], loads: Sequence[float],
-        trials: int, nodes: int, seed: int, crash_rate: float,
-        jobs_target: int,
-        template_names: Sequence[str]) -> Dict[str, Any]:
-    """The identity payload a checkpoint store pins for a campaign."""
-    return {
-        "figure_id": figure_id, "policies": list(policies),
-        "loads": list(loads), "trials": trials, "nodes": nodes,
-        "seed": seed, "crash_rate": crash_rate,
-        "jobs_target": jobs_target,
-        "templates": list(template_names),
-    }
+def tenancy_campaign_fingerprint(**params) -> Dict[str, Any]:
+    """The identity a store pins for ``tenancy_sweep(**params)``.
+
+    Every non-execution argument with the sweep's defaults filled in;
+    templates and queues by their full payloads."""
+    identity = campaign_identity(tenancy_sweep, params)
+    for name, default in (("templates", default_templates),
+                          ("queues", default_queues)):
+        given = identity[name]
+        if given is None:
+            given = default(identity["nodes"])
+        identity[name] = [item.payload() for item in given]
+    return identity

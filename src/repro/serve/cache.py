@@ -87,6 +87,10 @@ class DigestCache:
         if self._store is not None:
             self._store.save(key, payload)
 
+    #: The store spelling of :meth:`put`, so a cache can back
+    #: :func:`~repro.harness.checkpoint.journaled_map` directly.
+    save = put
+
     def corrupt(self, key: str) -> bool:
         """Chaos-harness hook: flip the resident payload for ``key``.
 

@@ -40,19 +40,15 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
 from ..config.advisor import advise_flink, advise_spark
 from ..config.parameters import ConfigError
-from ..config.presets import CORES_PER_NODE, ExperimentConfig
+from ..config.presets import CORES_PER_NODE, ExperimentConfig, build_config
 from ..engines.common.serialization import Serializer
 from ..validation.digest import digest_payload
-from ..workloads import (ConnectedComponents, Grep, KMeans, PageRank,
-                         TeraSort, WordCount)
-from ..workloads.datagen.graphs import SMALL_GRAPH
+from ..workloads import build_workload
 
 __all__ = ["PlanError", "CapacityQuery", "candidate_descriptors",
            "candidate_digest", "evaluate_candidate", "search_levels",
            "plan_capacity", "plan_capacity_async", "plan_capacity_sync",
            "PLAN_WORKLOADS", "ENGINES"]
-
-GiB = float(2**30)
 
 PLAN_WORKLOADS = ("wordcount", "grep", "terasort", "kmeans", "pagerank",
                   "connected-components")
@@ -167,33 +163,8 @@ class CapacityQuery:
 
 
 # ----------------------------------------------------------------------
-# workload + config construction (scale-aware)
+# config overrides
 # ----------------------------------------------------------------------
-def build_plan_workload(name: str, nodes: int, data_scale: float = 1.0):
-    """The paper-scale workload for ``nodes``, optionally shrunk."""
-    if name == "wordcount":
-        return WordCount(nodes * 24 * GiB * data_scale)
-    if name == "grep":
-        return Grep(nodes * 24 * GiB * data_scale)
-    if name == "terasort":
-        from ..cli import build_config as _cfg
-        cfg = _cfg("terasort", nodes)
-        return TeraSort(nodes * 32 * GiB * data_scale,
-                        num_partitions=cfg.flink.default_parallelism)
-    if name == "kmeans":
-        return KMeans(51 * GiB * data_scale, iterations=10)
-    if name in ("pagerank", "connected-components"):
-        from ..cli import build_config as _cfg
-        cfg = _cfg(name, nodes)
-        if name == "pagerank":
-            return PageRank(SMALL_GRAPH, iterations=20,
-                            edge_partitions=cfg.spark.edge_partitions)
-        return ConnectedComponents(
-            SMALL_GRAPH, iterations=23,
-            edge_partitions=cfg.spark.edge_partitions)
-    raise PlanError(f"unknown workload {name!r}")
-
-
 def apply_overrides(config: ExperimentConfig, engine: str,
                     overrides: Dict[str, Any]) -> ExperimentConfig:
     """Apply a descriptor's whitelisted knob overrides to a preset."""
@@ -257,10 +228,9 @@ def _repair_overrides(engine: str, config: ExperimentConfig, nodes: int,
 def candidate_descriptors(query: CapacityQuery,
                           nodes: int) -> List[Dict[str, Any]]:
     """The deterministic candidate set for one cluster size."""
-    from ..cli import build_config  # local import: cli imports us not
     descs: List[Dict[str, Any]] = []
-    workload = build_plan_workload(query.workload, nodes,
-                                   query.data_scale)
+    workload = build_workload(query.workload, nodes,
+                              data_scale=query.data_scale)
     base_config = build_config(query.workload, nodes)
     for engine in query.engines:
         variants: List[Dict[str, Any]] = [{}]
@@ -297,10 +267,9 @@ def evaluate_candidate(desc: Dict[str, Any]) -> Dict[str, Any]:
     but does raise on simulator bugs (which the pool then retries and
     surfaces).
     """
-    from ..cli import build_config
     from ..harness.runner import run_once
-    workload = build_plan_workload(desc["workload"], desc["nodes"],
-                                   desc.get("data_scale", 1.0))
+    workload = build_workload(desc["workload"], desc["nodes"],
+                              data_scale=desc.get("data_scale", 1.0))
     try:
         config = apply_overrides(build_config(desc["workload"],
                                               desc["nodes"]),
@@ -435,42 +404,22 @@ def plan_capacity_sync(query: CapacityQuery,
                        retries: int = 1, backoff: float = 0.5,
                        cache: Optional[Any] = None) -> Dict[str, Any]:
     """One-shot planning (the ``repro plan`` CLI): candidates fan out
-    via :func:`~repro.harness.parallel.robust_map` with the same
-    failure containment as the campaign sweeps; a cell whose worker
-    cannot complete becomes an explicit error result, not an abort."""
-    from ..harness.parallel import robust_map
+    via :func:`~repro.harness.checkpoint.journaled_map` with the same
+    failure containment as the campaign sweeps (``cache``, when given,
+    is its store); a cell whose worker cannot complete becomes an
+    explicit error result, not an abort."""
+    from ..harness.checkpoint import journaled_map
 
     def evaluate_many(descs: List[Dict[str, Any]]
                       ) -> List[Dict[str, Any]]:
-        results: List[Optional[Dict[str, Any]]] = [None] * len(descs)
-        pending: List[int] = []
-        for i, desc in enumerate(descs):
-            key = "cell:" + candidate_digest(desc)
-            hit = cache.get(key) if cache is not None else None
-            if hit is not None:
-                results[i] = hit
-            else:
-                pending.append(i)
-        if pending:
-            fresh, failures = robust_map(
-                evaluate_candidate, [(descs[i],) for i in pending],
-                jobs=jobs, timeout=timeout, retries=retries,
-                backoff=backoff)
-            failed = {f.index: f for f in failures}
-            for pos, i in enumerate(pending):
-                if fresh[pos] is not None:
-                    results[i] = fresh[pos]
-                    if cache is not None:
-                        cache.put("cell:" + candidate_digest(descs[i]),
-                                  fresh[pos])
-                else:
-                    f = failed.get(pos)
-                    results[i] = {
-                        "ok": False, "feasible": False,
-                        "reason": (f"worker-failure: {f.describe()}"
-                                   if f is not None else
-                                   "worker-failure"),
-                        "advice": [], "duration": None, "sim_events": 0}
-        return [r for r in results if r is not None]
+        keys = ["cell:" + candidate_digest(desc) for desc in descs]
+        outcomes = journaled_map(
+            evaluate_candidate, [(desc,) for desc in descs], keys, cache,
+            jobs=jobs, timeout=timeout, retries=retries, backoff=backoff)
+        return [result if result is not None else {
+                    "ok": False, "feasible": False,
+                    "reason": f"worker-failure: {gap}", "advice": [],
+                    "duration": None, "sim_events": 0}
+                for result, gap in outcomes]
 
     return plan_capacity(query, evaluate_many)

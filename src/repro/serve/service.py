@@ -52,11 +52,13 @@ import signal
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..config.parameters import ConfigError
+from ..config.presets import build_config
+from ..workloads import build_workload
 from .breaker import CircuitBreaker
 from .cache import DigestCache
 from .ledger import ServingLedger
 from .planner import (CapacityQuery, PlanError, apply_overrides,
-                      build_plan_workload, candidate_digest,
+                      candidate_digest,
                       evaluate_candidate, plan_capacity_async,
                       _advice_payload, _advise)
 from .pool import AsyncWorkerPool, TaskFailed, PoolError
@@ -361,7 +363,6 @@ class AdvisorService:
             self.ledger.in_flight -= 1
 
     def _advise_payload(self, body: Optional[Any]) -> Dict[str, Any]:
-        from ..cli import build_config
         if not isinstance(body, dict):
             raise _BadRequest(400, "advise body must be a JSON object")
         try:
@@ -379,7 +380,7 @@ class AdvisorService:
             config = apply_overrides(
                 build_config(workload, nodes), engine,
                 dict(body.get("overrides") or {}))
-            plan_wl = build_plan_workload(workload, nodes)
+            plan_wl = build_workload(workload, nodes)
         except (PlanError, ConfigError, ValueError) as exc:
             raise _BadRequest(400, str(exc)) from None
         advice = _advise(engine, config, nodes,

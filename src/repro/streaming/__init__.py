@@ -31,7 +31,7 @@ from .policies import (DEGRADE_POLICIES, RESTART_STRATEGIES,
                        make_restart_strategy, resolve_policy)
 from .sweep import (DEFAULT_CHECKPOINT_INTERVALS, DEFAULT_DURATION,
                     DEFAULT_FAULT_RATES, DEFAULT_LOAD_FRACTIONS,
-                    DEFAULT_LOAD_MULTIPLES, FIG21_CRASH_AT,
+                    DEFAULT_LOAD_MULTIPLES, FIG21, FIG21_CRASH_AT,
                     FIG21_LOAD_FRACTION, DegradationFigure, DegradeCell,
                     StreamingCell, StreamingFigure,
                     degradation_campaign_fingerprint, degradation_sweep,
@@ -53,7 +53,7 @@ __all__ = [
     "StreamingCell", "StreamingFigure", "streaming_sweep",
     "streaming_campaign_fingerprint", "DEFAULT_LOAD_FRACTIONS",
     "DEFAULT_CHECKPOINT_INTERVALS", "FIG21_LOAD_FRACTION",
-    "FIG21_CRASH_AT", "DEFAULT_DURATION",
+    "FIG21_CRASH_AT", "FIG21", "DEFAULT_DURATION",
     "DegradeCell", "DegradationFigure", "degradation_sweep",
     "degradation_campaign_fingerprint", "DEFAULT_LOAD_MULTIPLES",
     "DEFAULT_FAULT_RATES",

@@ -26,26 +26,22 @@ engines (:mod:`repro.streaming.engines`):
   common random numbers: the same seed x fault rate gives every
   engine x policy the identical crash sequence.
 
-The campaign layer mirrors :mod:`repro.resilience.sweep`: every cell
-is deterministic (arrival randomness is compiled into an
+The campaign layer is :mod:`repro.resilience.sweep`'s: every cell is
+deterministic (arrival randomness is compiled into an
 :class:`~repro.streaming.arrivals.ArrivalPlan` before any simulation),
-cells fan out via :func:`~repro.harness.parallel.robust_map` with
-explicit gap reporting, and a
-:class:`~repro.harness.checkpoint.CheckpointStore` journals finished
-cells so a SIGKILLed campaign resumes bit-identically.
+and cells run through :func:`~repro.harness.checkpoint.journaled_map`
+with explicit gap reporting and a journal entry per finished cell, so
+a SIGKILLed campaign resumes bit-identically.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..harness.checkpoint import CheckpointStore
-from ..harness.parallel import TaskFailure, robust_map
-from ..validation.digest import digest_payload
+from ..harness.checkpoint import (CheckpointStore, campaign_identity,
+                                  cell_delay, cell_key, journaled_map)
 from ..validation.invariants import strict_enabled
 from .arrivals import ARRIVAL_KINDS, make_arrivals
 from .engines import STREAMING_ENGINES, run_streaming
@@ -54,15 +50,10 @@ from .model import StreamingWorkloadModel, max_stable_throughput
 __all__ = ["StreamingCell", "StreamingFigure", "streaming_sweep",
            "streaming_campaign_fingerprint", "DEFAULT_LOAD_FRACTIONS",
            "DEFAULT_CHECKPOINT_INTERVALS", "FIG21_LOAD_FRACTION",
-           "FIG21_CRASH_AT", "DEFAULT_DURATION", "ENV_DELAY",
+           "FIG21_CRASH_AT", "FIG21", "DEFAULT_DURATION",
            "DegradeCell", "DegradationFigure", "degradation_sweep",
            "degradation_campaign_fingerprint", "DEFAULT_LOAD_MULTIPLES",
            "DEFAULT_FAULT_RATES"]
-
-#: Test hook: wall-clock seconds to sleep per cell (stretches campaign
-#: wall time for the kill-and-resume tests without touching any
-#: simulated value).
-ENV_DELAY = "REPRO_STREAMING_DELAY"
 
 #: fig20 x-axis: offered load as a fraction of each engine's own
 #: analytic ``max_stable_throughput`` (so both engines are compared at
@@ -78,6 +69,13 @@ DEFAULT_CHECKPOINT_INTERVALS = (1.5, 3.0, 6.0, 12.0)
 #: checkpoint interval catches back up within the run.
 FIG21_LOAD_FRACTION = 0.5
 FIG21_CRASH_AT = 23.0
+
+#: The :func:`streaming_sweep` arguments that make it the fig21
+#: recovery sweep.
+FIG21 = {"figure_id": "fig21", "arrival_kinds": ("poisson",),
+         "load_fractions": (FIG21_LOAD_FRACTION,),
+         "checkpoint_intervals": DEFAULT_CHECKPOINT_INTERVALS,
+         "crash_at": FIG21_CRASH_AT}
 
 DEFAULT_DURATION = 40.0
 
@@ -131,28 +129,7 @@ class StreamingCell:
     gap_detail: Optional[str] = None
 
     def payload(self) -> Dict[str, Any]:
-        return {
-            "engine": self.engine, "arrival_kind": self.arrival_kind,
-            "load_fraction": self.load_fraction,
-            "checkpoint_interval": self.checkpoint_interval,
-            "nodes": self.nodes, "seed": self.seed,
-            "duration": self.duration,
-            "batch_interval": self.batch_interval,
-            "crash_at": self.crash_at,
-            "offered_rate": self.offered_rate,
-            "plan_digest": self.plan_digest,
-            "total_records": self.total_records,
-            "processed_records": self.processed_records,
-            "p50": self.p50, "p95": self.p95, "p99": self.p99,
-            "mean_latency": self.mean_latency, "stable": self.stable,
-            "drain_seconds": self.drain_seconds,
-            "checkpoints": self.checkpoints, "makespan": self.makespan,
-            "crashed": self.crashed,
-            "replayed_records": self.replayed_records,
-            "recovery_seconds": self.recovery_seconds,
-            "sim_events": self.sim_events,
-            "gap": self.gap, "gap_detail": self.gap_detail,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_payload(payload: Dict[str, Any]) -> "StreamingCell":
@@ -181,9 +158,7 @@ def _cell_task(engine: str, kind: str, load_fraction: float,
                crash_at: Optional[float], strict: bool) -> Dict[str, Any]:
     """Run one streaming cell; module-level and JSON-in/out so it fans
     across worker processes and journals into a checkpoint store."""
-    delay = float(os.environ.get(ENV_DELAY, "0") or 0)
-    if delay > 0:
-        time.sleep(delay)
+    cell_delay()
     model = StreamingWorkloadModel()
     capacity = max_stable_throughput(model, nodes, engine,
                                      batch_interval=batch_interval)
@@ -263,16 +238,20 @@ def streaming_sweep(
       arrivals.
 
     Cells are independent and deterministic, fanned out via
-    :func:`robust_map`; a cell whose worker raises, crashes or exceeds
+    :func:`journaled_map`; a cell whose worker raises, crashes or exceeds
     ``timeout`` is retried and then reported as an explicit gap.
     ``checkpoint`` journals finished cells for kill-and-resume.
     """
-    labels: List[Tuple[str, str, float, float]] = []
+    # First statement, so ``locals()`` holds exactly the arguments.
+    identity = streaming_campaign_fingerprint(**locals())
+    labels: List[Dict[str, Any]] = []
     if checkpoint_intervals is not None:
         fraction = load_fractions[0]
         for engine in engines:
             for interval in checkpoint_intervals:
-                labels.append((engine, "poisson", fraction, interval))
+                labels.append(dict(engine=engine, arrival_kind="poisson",
+                                   load_fraction=fraction,
+                                   checkpoint_interval=interval))
         title = (f"Recovery time vs checkpoint interval "
                  f"({nodes} nodes, load {fraction:.0%} of capacity, "
                  f"crash at {crash_at:g}s)")
@@ -281,82 +260,36 @@ def streaming_sweep(
         for engine in engines:
             for kind in arrival_kinds:
                 for fraction in load_fractions:
-                    labels.append((engine, kind, fraction, default_ckpt))
+                    labels.append(dict(engine=engine, arrival_kind=kind,
+                                       load_fraction=fraction,
+                                       checkpoint_interval=default_ckpt))
         title = (f"Latency percentiles vs offered load "
                  f"({nodes} nodes, {duration:g}s campaigns)")
 
     strict_flag = strict_enabled(strict)
-    tasks = [(engine, kind, fraction, interval, nodes, seed, duration,
-              batch_interval, crash_at, strict_flag)
-             for engine, kind, fraction, interval in labels]
-    keys = [digest_payload({
-        "figure_id": figure_id, "engine": e, "arrival_kind": k,
-        "load_fraction": f, "checkpoint_interval": i, "nodes": nodes,
-        "seed": seed, "duration": duration,
-        "batch_interval": batch_interval, "crash_at": crash_at,
-    }) for e, k, f, i in labels]
-
-    pending = list(range(len(tasks)))
-    results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    if checkpoint is not None:
-        pending = []
-        for i, key in enumerate(keys):
-            if key in checkpoint:
-                results[i] = checkpoint.load(key)
-            else:
-                pending.append(i)
-
-    failures: List[TaskFailure] = []
-    if pending:
-        def _journal(pending_pos: int, payload: Dict[str, Any]) -> None:
-            if checkpoint is not None:
-                checkpoint.save(keys[pending[pending_pos]], payload)
-
-        fresh, failures = robust_map(
-            _cell_task, [tasks[i] for i in pending], jobs=jobs,
-            timeout=timeout, retries=retries, backoff=backoff,
-            on_result=_journal)
-        for pos, result in zip(pending, fresh):
-            results[pos] = result
-
-    cells: List[StreamingCell] = []
-    gaps: List[StreamingCell] = []
-    failed = {pending[f.index]: f for f in failures}
-    for i, (engine, kind, fraction, interval) in enumerate(labels):
-        if results[i] is not None:
-            cells.append(StreamingCell.from_payload(results[i]))
-            continue
-        failure = failed.get(i)
-        gap = StreamingCell(
-            engine=engine, arrival_kind=kind, load_fraction=fraction,
-            checkpoint_interval=interval, nodes=nodes, seed=seed,
-            duration=duration, batch_interval=batch_interval,
-            crash_at=crash_at, gap=True,
-            gap_detail=(failure.describe() if failure is not None
-                        else "missing result"))
-        cells.append(gap)
-        gaps.append(gap)
+    tasks = [(c["engine"], c["arrival_kind"], c["load_fraction"],
+              c["checkpoint_interval"], nodes, seed, duration,
+              batch_interval, crash_at, strict_flag) for c in labels]
+    outcomes = journaled_map(
+        _cell_task, tasks, [cell_key(identity, c) for c in labels],
+        checkpoint, jobs=jobs, timeout=timeout, retries=retries,
+        backoff=backoff)
+    cells = [StreamingCell.from_payload(payload) if payload is not None
+             else StreamingCell(**label, nodes=nodes, seed=seed,
+                                duration=duration,
+                                batch_interval=batch_interval,
+                                crash_at=crash_at, gap=True,
+                                gap_detail=gap)
+             for label, (payload, gap) in zip(labels, outcomes)]
     return StreamingFigure(figure_id=figure_id, title=title, nodes=nodes,
-                           duration=duration, cells=cells, gaps=gaps)
+                           duration=duration, cells=cells,
+                           gaps=[c for c in cells if c.gap])
 
 
-def streaming_campaign_fingerprint(
-        figure_id: str, engines: Sequence[str],
-        arrival_kinds: Sequence[str], load_fractions: Sequence[float],
-        checkpoint_intervals: Optional[Sequence[float]], nodes: int,
-        seed: int, duration: float, batch_interval: float,
-        crash_at: Optional[float]) -> Dict[str, Any]:
-    """The identity payload a checkpoint store pins for a campaign."""
-    return {
-        "figure_id": figure_id, "engines": list(engines),
-        "arrival_kinds": list(arrival_kinds),
-        "load_fractions": list(load_fractions),
-        "checkpoint_intervals": (list(checkpoint_intervals)
-                                 if checkpoint_intervals is not None
-                                 else None),
-        "nodes": nodes, "seed": seed, "duration": duration,
-        "batch_interval": batch_interval, "crash_at": crash_at,
-    }
+def streaming_campaign_fingerprint(**params) -> Dict[str, Any]:
+    """The identity a store pins for ``streaming_sweep(**params)``:
+    every non-execution argument, the sweep's defaults filled in."""
+    return campaign_identity(streaming_sweep, params)
 
 
 # ----------------------------------------------------------------------
@@ -401,33 +334,7 @@ class DegradeCell:
     gap_detail: Optional[str] = None
 
     def payload(self) -> Dict[str, Any]:
-        return {
-            "engine": self.engine, "load_multiple": self.load_multiple,
-            "fault_rate": self.fault_rate, "policy": self.policy,
-            "nodes": self.nodes, "seed": self.seed,
-            "duration": self.duration,
-            "batch_interval": self.batch_interval,
-            "offered_rate": self.offered_rate,
-            "plan_digest": self.plan_digest,
-            "crash_schedule": list(self.crash_schedule),
-            "total_records": self.total_records,
-            "processed_records": self.processed_records,
-            "dropped_records": self.dropped_records,
-            "lost_records": self.lost_records,
-            "goodput": self.goodput,
-            "loss_fraction": self.loss_fraction,
-            "p50": self.p50, "p99": self.p99,
-            "p99_bound": self.p99_bound,
-            "availability": self.availability,
-            "crashes": self.crashes, "restarts": self.restarts,
-            "job_failed": self.job_failed, "stable": self.stable,
-            "makespan": self.makespan,
-            "downtime_seconds": self.downtime_seconds,
-            "shed_events": self.shed_events,
-            "recovery_seconds": self.recovery_seconds,
-            "sim_events": self.sim_events,
-            "gap": self.gap, "gap_detail": self.gap_detail,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_payload(payload: Dict[str, Any]) -> "DegradeCell":
@@ -458,9 +365,7 @@ def _degrade_task(engine: str, load_multiple: float, fault_rate: float,
                   strict: bool) -> Dict[str, Any]:
     """Run one fig22 cell (module-level, JSON-in/out for robust_map)."""
     from .policies import compile_crash_schedule, resolve_policy
-    delay = float(os.environ.get(ENV_DELAY, "0") or 0)
-    if delay > 0:
-        time.sleep(delay)
+    cell_delay()
     model = StreamingWorkloadModel()
     capacity = max_stable_throughput(model, nodes, engine,
                                      batch_interval=batch_interval)
@@ -537,84 +442,40 @@ def degradation_sweep(
     """Run the fig22 degradation campaign and assemble the figure.
 
     One cell per engine x load multiple x fault rate x policy, fanned
-    out via :func:`robust_map` exactly like :func:`streaming_sweep`
+    out via :func:`journaled_map` exactly like :func:`streaming_sweep`
     (gaps, retries, checkpoint journaling, bit-identical at any
     ``jobs``).
     """
-    labels: List[Tuple[str, float, float, str]] = []
-    for engine in engines:
-        for multiple in load_multiples:
-            for rate in fault_rates:
-                for policy in policies:
-                    labels.append((engine, multiple, rate, policy))
+    # First statement, so ``locals()`` holds exactly the arguments.
+    identity = degradation_campaign_fingerprint(**locals())
+    labels = [dict(engine=engine, load_multiple=multiple, fault_rate=rate,
+                   policy=policy)
+              for engine in engines for multiple in load_multiples
+              for rate in fault_rates for policy in policies]
     title = (f"Overload survival: goodput/loss/p99/availability vs "
              f"load multiple x fault rate x policy "
              f"({nodes} nodes, {duration:g}s campaigns)")
 
     strict_flag = strict_enabled(strict)
-    tasks = [(engine, multiple, rate, policy, nodes, seed, duration,
-              batch_interval, strict_flag)
-             for engine, multiple, rate, policy in labels]
-    keys = [digest_payload({
-        "figure_id": figure_id, "engine": e, "load_multiple": m,
-        "fault_rate": r, "policy": p, "nodes": nodes, "seed": seed,
-        "duration": duration, "batch_interval": batch_interval,
-    }) for e, m, r, p in labels]
-
-    pending = list(range(len(tasks)))
-    results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    if checkpoint is not None:
-        pending = []
-        for i, key in enumerate(keys):
-            if key in checkpoint:
-                results[i] = checkpoint.load(key)
-            else:
-                pending.append(i)
-
-    failures: List[TaskFailure] = []
-    if pending:
-        def _journal(pending_pos: int, payload: Dict[str, Any]) -> None:
-            if checkpoint is not None:
-                checkpoint.save(keys[pending[pending_pos]], payload)
-
-        fresh, failures = robust_map(
-            _degrade_task, [tasks[i] for i in pending], jobs=jobs,
-            timeout=timeout, retries=retries, backoff=backoff,
-            on_result=_journal)
-        for pos, result in zip(pending, fresh):
-            results[pos] = result
-
-    cells: List[DegradeCell] = []
-    gaps: List[DegradeCell] = []
-    failed = {pending[f.index]: f for f in failures}
-    for i, (engine, multiple, rate, policy) in enumerate(labels):
-        if results[i] is not None:
-            cells.append(DegradeCell.from_payload(results[i]))
-            continue
-        failure = failed.get(i)
-        gap = DegradeCell(
-            engine=engine, load_multiple=multiple, fault_rate=rate,
-            policy=policy, nodes=nodes, seed=seed, duration=duration,
-            batch_interval=batch_interval, gap=True,
-            gap_detail=(failure.describe() if failure is not None
-                        else "missing result"))
-        cells.append(gap)
-        gaps.append(gap)
+    tasks = [(c["engine"], c["load_multiple"], c["fault_rate"],
+              c["policy"], nodes, seed, duration, batch_interval,
+              strict_flag) for c in labels]
+    outcomes = journaled_map(
+        _degrade_task, tasks, [cell_key(identity, c) for c in labels],
+        checkpoint, jobs=jobs, timeout=timeout, retries=retries,
+        backoff=backoff)
+    cells = [DegradeCell.from_payload(payload) if payload is not None
+             else DegradeCell(**label, nodes=nodes, seed=seed,
+                              duration=duration,
+                              batch_interval=batch_interval, gap=True,
+                              gap_detail=gap)
+             for label, (payload, gap) in zip(labels, outcomes)]
     return DegradationFigure(figure_id=figure_id, title=title,
                              nodes=nodes, duration=duration,
-                             cells=cells, gaps=gaps)
+                             cells=cells, gaps=[c for c in cells if c.gap])
 
 
-def degradation_campaign_fingerprint(
-        figure_id: str, engines: Sequence[str],
-        load_multiples: Sequence[float], fault_rates: Sequence[float],
-        policies: Sequence[str], nodes: int, seed: int, duration: float,
-        batch_interval: float) -> Dict[str, Any]:
-    """The identity payload a checkpoint store pins for fig22."""
-    return {
-        "figure_id": figure_id, "engines": list(engines),
-        "load_multiples": list(load_multiples),
-        "fault_rates": list(fault_rates),
-        "policies": list(policies), "nodes": nodes, "seed": seed,
-        "duration": duration, "batch_interval": batch_interval,
-    }
+def degradation_campaign_fingerprint(**params) -> Dict[str, Any]:
+    """The identity a store pins for ``degradation_sweep(**params)``:
+    every non-execution argument, the sweep's defaults filled in."""
+    return campaign_identity(degradation_sweep, params)

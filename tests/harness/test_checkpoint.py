@@ -21,7 +21,7 @@ from repro.config.presets import GiB, wordcount_grep_preset
 from repro.harness.checkpoint import CheckpointError, CheckpointStore
 from repro.harness.figures import fig01_wordcount_weak, fig19_resilience
 from repro.harness.sweep import sweep
-from repro.resilience import campaign_fingerprint
+from repro.resilience import campaign_fingerprint, default_workloads
 from repro.validation.digest import (digest_payload, resilience_payload,
                                      scaling_payload)
 from repro.workloads import WordCount
@@ -191,13 +191,20 @@ def test_scaling_figure_resume_identity(tmp_path):
     assert len(digests) == 1
 
 
+def _fig19_fingerprint(*names):
+    """The fingerprint of ``fig19_resilience(rates=(0.0, 1.0),
+    workload_names=names)``."""
+    return campaign_fingerprint(
+        rates=(0.0, 1.0),
+        workloads=[w for w in default_workloads(8) if w[0] in names])
+
+
 def test_partial_campaign_resumes_bit_identically(tmp_path):
     # Journal only half the cells, then resume: the merged figure must
     # hash identically to the uninterrupted run.
     kwargs = dict(rates=(0.0, 1.0), workload_names=("wordcount",))
     plain = fig19_resilience(**kwargs)
-    fp = campaign_fingerprint("fig19", ("flink", "spark"), ("wordcount",),
-                              (0.0, 1.0), 1, 8, 0)
+    fp = _fig19_fingerprint("wordcount")
     with CheckpointStore(tmp_path / "s", fp) as store:
         fig19_resilience(**kwargs, checkpoint=store)
     journal = tmp_path / "s" / "journal.jsonl"
@@ -219,11 +226,11 @@ _CHILD = """
 import sys
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import fig19_resilience
-from repro.resilience import campaign_fingerprint
+from repro.resilience import campaign_fingerprint, default_workloads
 
 root = sys.argv[1]
-fp = campaign_fingerprint("fig19", ("flink", "spark"),
-                          ("wordcount", "grep"), (0.0, 1.0), 1, 8, 0)
+fp = campaign_fingerprint(rates=(0.0, 1.0), workloads=[
+    w for w in default_workloads(8) if w[0] in ("wordcount", "grep")])
 with CheckpointStore(root, fp, resume=len(sys.argv) > 2) as store:
     fig19_resilience(rates=(0.0, 1.0),
                      workload_names=("wordcount", "grep"),
@@ -234,7 +241,7 @@ with CheckpointStore(root, fp, resume=len(sys.argv) > 2) as store:
 def test_sigkill_then_resume_reproduces_the_digest(tmp_path):
     root = tmp_path / "store"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
-               REPRO_RESILIENCE_DELAY="0.15")  # slow cells: killable
+               REPRO_CELL_DELAY="0.15")  # slow cells: killable
     proc = subprocess.Popen([sys.executable, "-c", _CHILD, str(root)],
                             env=env)
     journal = root / "journal.jsonl"
@@ -255,9 +262,8 @@ def test_sigkill_then_resume_reproduces_the_digest(tmp_path):
 
     # Resume in-process and compare against an uninterrupted run.
     from repro.validation.digest import resilience_payload
-    fp = campaign_fingerprint("fig19", ("flink", "spark"),
-                              ("wordcount", "grep"), (0.0, 1.0), 1, 8, 0)
-    with CheckpointStore(root, fp, resume=True) as store:
+    with CheckpointStore(root, _fig19_fingerprint("wordcount", "grep"),
+                         resume=True) as store:
         resumed = fig19_resilience(rates=(0.0, 1.0),
                                    workload_names=("wordcount", "grep"),
                                    checkpoint=store)

@@ -13,8 +13,8 @@ import pytest
 
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import fig23_tenancy
-from repro.scheduler import (JobTemplate, default_templates,
-                             tenancy_campaign_fingerprint, tenancy_sweep)
+from repro.scheduler import (JobTemplate, tenancy_campaign_fingerprint,
+                             tenancy_sweep)
 from repro.scheduler.sweep import DEFAULT_POLICIES
 from repro.validation.digest import digest_payload, tenancy_payload
 
@@ -23,9 +23,7 @@ KW = dict(nodes=4, loads=LOADS, trials=1, jobs_target=6)
 
 
 def small_fingerprint():
-    return tenancy_campaign_fingerprint(
-        "fig23", DEFAULT_POLICIES, LOADS, 1, 4, 0, 0.0, 6,
-        [t.name for t in default_templates(4)])
+    return tenancy_campaign_fingerprint(**KW)
 
 
 @pytest.fixture(scope="module")

@@ -27,8 +27,7 @@ import pytest
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import fig23_tenancy
 from repro.scheduler import (JobTemplate, QueueConfig, WorkloadMix,
-                             compile_crash_plan, default_templates,
-                             make_policy, run_tenancy,
+                             compile_crash_plan, make_policy, run_tenancy,
                              tenancy_campaign_fingerprint)
 from repro.scheduler.sweep import DEFAULT_POLICIES
 from repro.validation.digest import digest_payload, tenancy_payload
@@ -109,13 +108,11 @@ _CHILD = """
 import sys
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import fig23_tenancy
-from repro.scheduler import default_templates, tenancy_campaign_fingerprint
-from repro.scheduler.sweep import DEFAULT_POLICIES
+from repro.scheduler import tenancy_campaign_fingerprint
 
 root = sys.argv[1]
-fp = tenancy_campaign_fingerprint(
-    "fig23", DEFAULT_POLICIES, (0.5, 0.9), 1, 4, 0, 0.0, 6,
-    [t.name for t in default_templates(4)])
+fp = tenancy_campaign_fingerprint(nodes=4, loads=(0.5, 0.9), trials=1,
+                                  jobs_target=6)
 with CheckpointStore(root, fp, resume=len(sys.argv) > 2) as store:
     fig23_tenancy(nodes=4, loads=(0.5, 0.9), trials=1, jobs_target=6,
                   checkpoint=store)
@@ -126,7 +123,7 @@ def test_sigkill_then_resume_reproduces_the_digest(tmp_path):
     baseline = fig23_tenancy(**KW)
     root = tmp_path / "store"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
-               REPRO_TENANCY_DELAY="0.2")  # slow cells: killable
+               REPRO_CELL_DELAY="0.2")  # slow cells: killable
     proc = subprocess.Popen([sys.executable, "-c", _CHILD, str(root)],
                             env=env)
     journal = root / "journal.jsonl"
@@ -145,10 +142,8 @@ def test_sigkill_then_resume_reproduces_the_digest(tmp_path):
     done_before = journal.read_text().count("\n")
     assert 0 < done_before < 6, "kill landed before/after the campaign"
 
-    fp = tenancy_campaign_fingerprint(
-        "fig23", DEFAULT_POLICIES, LOADS, 1, 4, 0, 0.0, 6,
-        [t.name for t in default_templates(4)])
-    with CheckpointStore(root, fp, resume=True) as store:
+    with CheckpointStore(root, tenancy_campaign_fingerprint(**KW),
+                         resume=True) as store:
         resumed = fig23_tenancy(**KW, checkpoint=store)
         assert len(store) == 6
     assert not resumed.gaps

@@ -17,7 +17,7 @@ import pytest
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import (fig20_streaming_latency,
                                    fig21_streaming_recovery)
-from repro.streaming import (streaming_campaign_fingerprint,
+from repro.streaming import (FIG21, streaming_campaign_fingerprint,
                              streaming_sweep)
 from repro.validation.digest import digest_payload, streaming_payload
 
@@ -136,9 +136,7 @@ def test_worker_failure_becomes_a_gap_not_an_abort():
 # checkpoint resume identity
 # ----------------------------------------------------------------------
 def test_partial_campaign_resumes_bit_identically(tmp_path, small_fig21):
-    fp = streaming_campaign_fingerprint(
-        "fig21", ("flink", "spark"), ("poisson", "mmpp"), (0.5,),
-        (2.0, 9.0), 4, 0, 24.0, 1.0, 13.0)
+    fp = streaming_campaign_fingerprint(**{**FIG21, **KW21})
     with CheckpointStore(tmp_path / "s", fp) as store:
         fig21_streaming_recovery(**KW21, checkpoint=store)
     journal = tmp_path / "s" / "journal.jsonl"
@@ -163,9 +161,8 @@ from repro.harness.figures import fig20_streaming_latency
 from repro.streaming import streaming_campaign_fingerprint
 
 root = sys.argv[1]
-fp = streaming_campaign_fingerprint(
-    "fig20", ("flink", "spark"), ("poisson", "mmpp"), (0.3, 0.6),
-    None, 4, 0, 12.0, 1.0, None)
+fp = streaming_campaign_fingerprint(nodes=4, load_fractions=(0.3, 0.6),
+                                    duration=12.0)
 with CheckpointStore(root, fp, resume=len(sys.argv) > 2) as store:
     fig20_streaming_latency(nodes=4, load_fractions=(0.3, 0.6),
                             duration=12.0, checkpoint=store)
@@ -175,7 +172,7 @@ with CheckpointStore(root, fp, resume=len(sys.argv) > 2) as store:
 def test_sigkill_then_resume_reproduces_the_digest(tmp_path, small_fig20):
     root = tmp_path / "store"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
-               REPRO_STREAMING_DELAY="0.15")  # slow cells: killable
+               REPRO_CELL_DELAY="0.15")  # slow cells: killable
     proc = subprocess.Popen([sys.executable, "-c", _CHILD, str(root)],
                             env=env)
     journal = root / "journal.jsonl"
@@ -194,9 +191,7 @@ def test_sigkill_then_resume_reproduces_the_digest(tmp_path, small_fig20):
     done_before = journal.read_text().count("\n")
     assert 0 < done_before < 8, "kill landed before/after the campaign"
 
-    fp = streaming_campaign_fingerprint(
-        "fig20", ("flink", "spark"), ("poisson", "mmpp"), (0.3, 0.6),
-        None, 4, 0, 12.0, 1.0, None)
+    fp = streaming_campaign_fingerprint(**KW20)
     with CheckpointStore(root, fp, resume=True) as store:
         resumed = fig20_streaming_latency(**KW20, checkpoint=store)
         assert len(store) == 8

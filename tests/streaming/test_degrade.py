@@ -145,9 +145,7 @@ def test_worker_failure_becomes_a_gap_not_an_abort():
 # checkpoint resume identity
 # ----------------------------------------------------------------------
 def test_partial_campaign_resumes_bit_identically(tmp_path, small_fig22):
-    fp = degradation_campaign_fingerprint(
-        "fig22", ("flink", "spark"), MULTIPLES, RATES,
-        ("none", "degrade"), 4, 0, 12.0, 1.0)
+    fp = degradation_campaign_fingerprint(**KW22)
     with CheckpointStore(tmp_path / "s", fp) as store:
         fig22_degradation(**KW22, checkpoint=store)
     journal = tmp_path / "s" / "journal.jsonl"
@@ -173,8 +171,8 @@ from repro.streaming import degradation_campaign_fingerprint
 
 root = sys.argv[1]
 fp = degradation_campaign_fingerprint(
-    "fig22", ("flink", "spark"), (1.0, 1.5), (0.0, 0.5),
-    ("none", "degrade"), 4, 0, 12.0, 1.0)
+    nodes=4, load_multiples=(1.0, 1.5), fault_rates=(0.0, 0.5),
+    duration=12.0)
 with CheckpointStore(root, fp, resume=len(sys.argv) > 2) as store:
     fig22_degradation(nodes=4, load_multiples=(1.0, 1.5),
                       fault_rates=(0.0, 0.5), duration=12.0,
@@ -185,7 +183,7 @@ with CheckpointStore(root, fp, resume=len(sys.argv) > 2) as store:
 def test_sigkill_then_resume_reproduces_the_digest(tmp_path, small_fig22):
     root = tmp_path / "store"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
-               REPRO_STREAMING_DELAY="0.15")  # slow cells: killable
+               REPRO_CELL_DELAY="0.15")  # slow cells: killable
     proc = subprocess.Popen([sys.executable, "-c", _CHILD, str(root)],
                             env=env)
     journal = root / "journal.jsonl"
@@ -203,10 +201,8 @@ def test_sigkill_then_resume_reproduces_the_digest(tmp_path, small_fig22):
     done_before = journal.read_text().count("\n")
     assert 0 < done_before < 16, "kill landed before/after the campaign"
 
-    fp = degradation_campaign_fingerprint(
-        "fig22", ("flink", "spark"), MULTIPLES, RATES,
-        ("none", "degrade"), 4, 0, 12.0, 1.0)
-    with CheckpointStore(root, fp, resume=True) as store:
+    with CheckpointStore(root, degradation_campaign_fingerprint(**KW22),
+                         resume=True) as store:
         resumed = fig22_degradation(**KW22, checkpoint=store)
         assert len(store) == 16
     assert not resumed.gaps

@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import (FIGURES, RESOURCE_FIGURES, WORKLOADS, build_config,
                        build_workload, main)
 
@@ -23,6 +27,37 @@ def test_build_workload_all_names():
     for name in WORKLOADS:
         wl = build_workload(name, 8)
         assert wl.input_files()
+
+
+def test_library_code_does_not_import_the_cli():
+    package = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        rel = path.relative_to(package.parent)
+        if rel.as_posix() in ("repro/cli.py", "repro/__main__.py"):
+            continue
+        parts = list(rel.with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # Resolve relative imports against the module's package.
+                base = (parts[:len(parts) - node.level + 1]
+                        if path.name == "__init__.py" else
+                        parts[:len(parts) - node.level])
+                module = ".".join(base + ([node.module] if node.module
+                                          else []))
+                if not node.level:
+                    module = node.module or ""
+                names = [module] + [f"{module}.{a.name}"
+                                    for a in node.names]
+            else:
+                continue
+            if "repro.cli" in names:
+                offenders.append(f"{rel}:{node.lineno}")
+    assert not offenders, f"library modules import repro.cli: {offenders}"
 
 
 def test_build_workload_graph_choice():
