@@ -188,11 +188,10 @@ def cmd_figure(args) -> int:
     fig_id = args.id
     strict = args.strict or None
     if fig_id in FIGURES:
-        with _open_checkpoint(args, {"figure_id": fig_id,
-                                     "trials": args.trials,
-                                     "seed": args.seed}) as checkpoint:
-            fig = FIGURES[fig_id](trials=args.trials, seed=args.seed,
-                                  strict=strict, jobs=args.jobs,
+        params = dict(trials=args.trials, seed=args.seed)
+        with _open_checkpoint(args, figure_registry.scaling_identity(
+                fig_id, FIGURES[fig_id], params)) as checkpoint:
+            fig = FIGURES[fig_id](**params, strict=strict, jobs=args.jobs,
                                   checkpoint=checkpoint)
         print(render_bar_table(fig.series.values(), title=fig.title))
         return 0

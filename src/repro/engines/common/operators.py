@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from .stats import DataStats
 
@@ -247,9 +247,3 @@ class LogicalPlan:
     def __repr__(self) -> str:
         chain = " -> ".join(op.name for op in self.ops)
         return f"LogicalPlan({self.name}: {chain})"
-
-
-def linear_plan(name: str, input_stats: DataStats,
-                ops: Sequence[Op]) -> LogicalPlan:
-    """Convenience constructor used by the workloads."""
-    return LogicalPlan(input_stats=input_stats, ops=list(ops), name=name)

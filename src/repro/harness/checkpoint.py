@@ -31,11 +31,12 @@ Records must be JSON-ish (the canonical-digest value types plus NaN).
 Only the coordinating process writes; workers report results back to
 it, so the journal has a single writer and needs no locking.
 
-Every campaign (fig19-fig23) drives its store through one loop,
-:func:`journaled_map`, and names itself with one identity dict,
-:func:`campaign_identity`: the store's fingerprint *is* that dict, and
-each cell's journal key is :func:`cell_key` of it, so no parameter can
-reach one and miss the other.
+Every campaign (fig19-fig23) and scaling figure (fig01-fig17) drives
+its store through one loop, :func:`journaled_map`, and names itself
+with one identity dict, :func:`campaign_identity`: the store's
+fingerprint *is* that dict, and each cell's journal key is
+:func:`cell_key` of it, so no parameter can reach one and miss the
+other.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ All experiments honour ``trials`` (the paper averaged 5 runs) and a
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..config.presets import (ExperimentConfig, kmeans_preset,
                               large_graph_preset, medium_graph_preset,
@@ -28,11 +30,12 @@ from ..workloads.base import Workload
 from ..validation.invariants import strict_enabled
 from ..workloads.datagen.graphs import (LARGE_GRAPH, MEDIUM_GRAPH,
                                         SMALL_GRAPH, GraphDatasetModel)
-from .parallel import parallel_map
+from .checkpoint import campaign_identity, cell_key, journaled_map
+from .parallel import TaskError, parallel_map
 from .runner import TrialStats, run_correlated, run_trials
 
 __all__ = [
-    "ScalingFigure", "ResourceFigure", "LargeGraphCell",
+    "ScalingFigure", "ResourceFigure", "LargeGraphCell", "scaling_identity",
     "fig01_wordcount_weak", "fig02_wordcount_strong",
     "fig03_wordcount_resources", "fig04_grep_weak", "fig05_grep_strong",
     "fig06_grep_resources", "fig07_terasort_weak", "fig08_terasort_strong",
@@ -116,24 +119,21 @@ class ResourceFigure:
         return out
 
 
-def _stats_payload(stats: TrialStats) -> Dict[str, object]:
-    """The journal form of one scaling data point (checkpoint record)."""
-    return {"engine": stats.engine, "workload": stats.workload,
-            "nodes": stats.nodes, "durations": list(stats.durations),
-            "failures": list(stats.failures)}
+def scaling_identity(figure_id: str, figure: Callable,
+                     params: Mapping[str, Any]) -> Dict[str, Any]:
+    """The identity of scaling figure ``figure(**params)``: its id plus
+    every non-execution argument, the figure's defaults filled in.  It
+    is the store fingerprint ``repro figure --checkpoint`` pins, and
+    each data point's journal key is :func:`cell_key` of it."""
+    return {"figure_id": figure_id, **campaign_identity(figure, params)}
 
 
-def _stats_from_payload(payload: Dict[str, object]) -> TrialStats:
-    # Full EngineRunResults are deliberately not journaled (they are
-    # simulation-internal object graphs); everything a figure digest
-    # observes — durations, failures, mean/std — round-trips exactly.
-    return TrialStats(engine=payload["engine"], workload=payload["workload"],
-                      nodes=payload["nodes"],
-                      durations=list(payload["durations"]),
-                      failures=list(payload["failures"]))
+def _trials_task(*args) -> Dict[str, object]:
+    """One scaling data point, in its journal form."""
+    return dataclasses.asdict(run_trials(*args))
 
 
-def _scaling(figure_id: str, title: str, xs: Sequence[float],
+def _scaling(identity: Dict[str, Any], title: str, xs: Sequence[float],
              make_workload: Callable[[float], Workload],
              make_config: Callable[[float], ExperimentConfig],
              trials: int, seed: int,
@@ -142,14 +142,20 @@ def _scaling(figure_id: str, title: str, xs: Sequence[float],
              checkpoint=None) -> ScalingFigure:
     # Every (engine, x) data point is an independent deterministic batch
     # of trials; materialise the workload/config here (the lambdas do
-    # not cross process boundaries) and fan out.  Results come back in
-    # task order, so the figure is identical at any job count.
+    # not cross process boundaries) and journal each point as it lands.
+    # Results come back in task order, so the figure is identical at
+    # any job count and after any resume.
     strict_flag = strict_enabled(strict)
-    tasks = [(engine, make_workload(x), make_config(x), trials, seed,
-              strict_flag)
-             for engine in ENGINES for x in xs]
-    flat: List[TrialStats] = _checkpointed_trials(
-        figure_id, tasks, xs, trials, seed, jobs, checkpoint)
+    cells = [{"engine": engine, "x": x} for engine in ENGINES for x in xs]
+    tasks = [(c["engine"], make_workload(c["x"]), make_config(c["x"]),
+              trials, seed, strict_flag) for c in cells]
+    outcomes = journaled_map(_trials_task, tasks,
+                             [cell_key(identity, c) for c in cells],
+                             checkpoint, jobs=jobs, retries=0)
+    gaps = [gap for _payload, gap in outcomes if gap is not None]
+    if gaps:
+        raise TaskError(gaps)
+    flat = [TrialStats(**payload) for payload, _gap in outcomes]
     series: Dict[str, ScalingSeries] = {}
     raw: Dict[str, List[TrialStats]] = {}
     for i, engine in enumerate(ENGINES):
@@ -160,44 +166,8 @@ def _scaling(figure_id: str, title: str, xs: Sequence[float],
             nodes=[int(x) for x in xs],
             means=[s.mean for s in stats],
             stds=[s.std for s in stats])
-    return ScalingFigure(figure_id=figure_id, title=title, series=series,
-                         xs=list(xs), trials_raw=raw)
-
-
-def _checkpointed_trials(figure_id: str, tasks, xs, trials: int, seed: int,
-                         jobs: Optional[int], checkpoint
-                         ) -> List[TrialStats]:
-    """Fan the trial batches out, journaling each finished data point.
-
-    Without a checkpoint store this is exactly
-    ``parallel_map(run_trials, tasks)``.  With one, already-journaled
-    points are replayed and only the missing ones run — resume after a
-    kill reproduces the uninterrupted figure digests bit-identically.
-    """
-    from ..validation.digest import digest_payload
-    if checkpoint is None:
-        return parallel_map(run_trials, tasks, jobs=jobs)
-    keys = [digest_payload({
-        "figure_id": figure_id, "engine": engine, "x": float(x),
-        "trials": trials, "seed": seed})
-        for (engine, _w, _c, _t, _s, _f), x in
-        zip(tasks, [x for _ in ENGINES for x in xs])]
-    results: List[Optional[TrialStats]] = [None] * len(tasks)
-    pending = []
-    for i, key in enumerate(keys):
-        if key in checkpoint:
-            results[i] = _stats_from_payload(checkpoint.load(key))
-        else:
-            pending.append(i)
-    if pending:
-        def _journal(pos: int, stats: TrialStats) -> None:
-            checkpoint.save(keys[pending[pos]], _stats_payload(stats))
-
-        fresh = parallel_map(run_trials, [tasks[i] for i in pending],
-                             jobs=jobs, on_result=_journal)
-        for pos, stats in zip(pending, fresh):
-            results[pos] = stats
-    return results  # type: ignore[return-value]
+    return ScalingFigure(figure_id=identity["figure_id"], title=title,
+                         series=series, xs=list(xs), trials_raw=raw)
 
 
 def _resources(figure_id: str, title: str, workload: Workload,
@@ -223,7 +193,8 @@ def fig01_wordcount_weak(trials: int = 3, seed: int = 0,
         checkpoint=None) -> ScalingFigure:
     """Word Count, fixed 24 GB per node."""
     return _scaling(
-        "fig01", "Word Count - fixed problem size per node (24GB)",
+        scaling_identity("fig01", fig01_wordcount_weak, locals()),
+        "Word Count - fixed problem size per node (24GB)",
         nodes,
         lambda n: WordCount(total_bytes=n * 24 * GiB),
         lambda n: wordcount_grep_preset(int(n)),
@@ -237,13 +208,13 @@ def fig02_wordcount_strong(trials: int = 3, seed: int = 0,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     """Word Count, 16 nodes, growing datasets."""
-    fig = _scaling(
-        "fig02", "Word Count - 16 nodes, different datasets",
+    return _scaling(
+        scaling_identity("fig02", fig02_wordcount_strong, locals()),
+        "Word Count - 16 nodes, different datasets",
         gb_per_node,
         lambda gb: WordCount(total_bytes=nodes * gb * GiB),
         lambda gb: wordcount_grep_preset(nodes),
         trials, seed, strict=strict, jobs=jobs, checkpoint=checkpoint)
-    return fig
 
 
 def fig03_wordcount_resources(seed: int = 0, nodes: int = 32,
@@ -267,7 +238,8 @@ def fig04_grep_weak(trials: int = 3, seed: int = 0,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
-        "fig04", "Grep - fixed problem size per node (24GB)",
+        scaling_identity("fig04", fig04_grep_weak, locals()),
+        "Grep - fixed problem size per node (24GB)",
         nodes,
         lambda n: Grep(total_bytes=n * 24 * GiB),
         lambda n: wordcount_grep_preset(int(n)),
@@ -281,7 +253,8 @@ def fig05_grep_strong(trials: int = 3, seed: int = 0,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
-        "fig05", "Grep - 16 nodes, different datasets",
+        scaling_identity("fig05", fig05_grep_strong, locals()),
+        "Grep - 16 nodes, different datasets",
         gb_per_node,
         lambda gb: Grep(total_bytes=nodes * gb * GiB),
         lambda gb: wordcount_grep_preset(nodes),
@@ -313,7 +286,8 @@ def fig07_terasort_weak(trials: int = 3, seed: int = 0,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
-        "fig07", "Tera Sort - fixed problem size per node (32 GB)",
+        scaling_identity("fig07", fig07_terasort_weak, locals()),
+        "Tera Sort - fixed problem size per node (32 GB)",
         nodes,
         lambda n: _terasort(int(n), n * 32 * GiB),
         lambda n: terasort_preset(int(n)),
@@ -326,7 +300,8 @@ def fig08_terasort_strong(trials: int = 3, seed: int = 0,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
-        "fig08", "Tera Sort - adding nodes, same dataset (3.5TB)",
+        scaling_identity("fig08", fig08_terasort_strong, locals()),
+        "Tera Sort - adding nodes, same dataset (3.5TB)",
         nodes,
         lambda n: _terasort(int(n), 3.5 * TiB),
         lambda n: terasort_preset(int(n)),
@@ -363,7 +338,8 @@ def fig11_kmeans_scaling(trials: int = 3, seed: int = 0,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
-        "fig11", "K-Means - increasing cluster size, same dataset",
+        scaling_identity("fig11", fig11_kmeans_scaling, locals()),
+        "K-Means - increasing cluster size, same dataset",
         nodes,
         lambda n: KMeans(total_bytes=51 * GiB, iterations=10),
         lambda n: kmeans_preset(int(n)),
@@ -391,7 +367,8 @@ def fig12_pagerank_small(trials: int = 3, seed: int = 0,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
-        "fig12", "Page Rank - Small Graph (increasing cluster size)",
+        scaling_identity("fig12", fig12_pagerank_small, locals()),
+        "Page Rank - Small Graph (increasing cluster size)",
         nodes,
         lambda n: _pagerank(SMALL_GRAPH, small_graph_preset(int(n)), 20),
         lambda n: small_graph_preset(int(n)),
@@ -404,7 +381,8 @@ def fig13_pagerank_medium(trials: int = 3, seed: int = 0,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
-        "fig13", "Page Rank - Medium Graph (increasing cluster size)",
+        scaling_identity("fig13", fig13_pagerank_medium, locals()),
+        "Page Rank - Medium Graph (increasing cluster size)",
         nodes,
         lambda n: _pagerank(MEDIUM_GRAPH, medium_graph_preset(int(n)), 20),
         lambda n: medium_graph_preset(int(n)),
@@ -417,7 +395,8 @@ def fig14_cc_small(trials: int = 3, seed: int = 0,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
-        "fig14", "Connected Components - Small Graph",
+        scaling_identity("fig14", fig14_cc_small, locals()),
+        "Connected Components - Small Graph",
         nodes,
         lambda n: _cc(SMALL_GRAPH, small_graph_preset(int(n)), 23),
         lambda n: small_graph_preset(int(n)),
@@ -430,7 +409,8 @@ def fig15_cc_medium(trials: int = 3, seed: int = 0,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
-        "fig15", "Connected Components - Medium Graph",
+        scaling_identity("fig15", fig15_cc_medium, locals()),
+        "Connected Components - Medium Graph",
         nodes,
         lambda n: _cc(MEDIUM_GRAPH, medium_graph_preset(int(n)), 23),
         lambda n: medium_graph_preset(int(n)),

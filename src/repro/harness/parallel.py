@@ -11,22 +11,22 @@ figure is bit-identical to the serial one.
 
 ``jobs`` resolution order: explicit argument, then the ``REPRO_JOBS``
 environment variable, then 1 (serial).  ``jobs=0`` (argument or
-environment) means "use every core" (``os.cpu_count()``).  ``jobs=1``
-short-circuits to a plain in-process loop — no executor, no pickling —
-so the default path is byte-for-byte the historical behaviour.
+environment) means "use every core" (``os.cpu_count()``).
 
-Two entry points share this contract:
+One engine starts worker processes, :func:`robust_map`: one process
+per task, so a task that raises, crashes its worker or exceeds a
+per-task timeout fails *that task only* (recorded as a
+:class:`TaskFailure` with full task identity, optionally retried with
+exponential backoff); every other task still completes and the results
+keep their task-order slots.  Campaigns journal through it via
+:func:`~repro.harness.checkpoint.journaled_map`.
 
-* :func:`parallel_map` — fail-fast: the first failing task raises, with
-  the failing task's identity (index and arguments) attached to the
-  exception.  A worker process that dies without reporting (segfault,
-  ``os._exit``, OOM kill) surfaces as :class:`WorkerCrashError` rather
-  than a hung or half-filled result list.
-* :func:`robust_map` — graceful degradation for long campaigns: a task
-  that raises, crashes its worker or exceeds a per-task timeout fails
-  *that task only* (recorded as a :class:`TaskFailure` with full task
-  identity, optionally retried with exponential backoff); every other
-  task still completes and the results keep their task-order slots.
+:func:`parallel_map` is its fail-fast front.  With ``jobs=1`` (or a
+single task) it is a plain in-process loop — no worker, no pickling —
+so an exception keeps its type and traceback.  Otherwise it runs the
+tasks through :func:`robust_map` and raises one :class:`TaskError`
+naming every failed task; a worker that dies without reporting
+(segfault, ``os._exit``, OOM kill) is a failure of kind ``"crash"``.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ import time
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _conn_wait
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-__all__ = ["ENV_JOBS", "WorkerCrashError", "TaskFailure", "parallel_map",
+__all__ = ["ENV_JOBS", "TaskError", "TaskFailure", "parallel_map",
            "robust_map", "resolve_jobs"]
 
 #: Environment variable consulted when no explicit job count is given.
@@ -49,23 +49,6 @@ ENV_JOBS = "REPRO_JOBS"
 #: only bounds how quickly timeouts/crashes are *noticed*, never what
 #: any task computes.
 _POLL_SECONDS = 0.05
-
-
-class WorkerCrashError(RuntimeError):
-    """A worker process died without delivering its result.
-
-    ``task_index``/``task_args`` identify the first task that cannot
-    have completed (best effort: a broken pool loses the precise
-    attribution, so ``candidate_indices`` lists every task in flight).
-    """
-
-    def __init__(self, message: str, task_index: Optional[int] = None,
-                 task_args: Optional[str] = None,
-                 candidate_indices: Optional[List[int]] = None) -> None:
-        super().__init__(message)
-        self.task_index = task_index
-        self.task_args = task_args
-        self.candidate_indices = candidate_indices or []
 
 
 @dataclass(frozen=True)
@@ -92,6 +75,22 @@ class TaskFailure:
                 f"{self.error_type}: {self.message}")
 
 
+class TaskError(RuntimeError):
+    """Tasks of a fail-fast batch failed: one ``details`` line each.
+
+    ``failures`` holds their :class:`TaskFailure` records when the
+    raiser has them (:func:`parallel_map` does; a journaled figure
+    keeps each gap's description only).
+    """
+
+    def __init__(self, details: Sequence[str],
+                 failures: Sequence[TaskFailure] = ()) -> None:
+        self.details = list(details)
+        self.failures = list(failures)
+        super().__init__(f"{len(self.details)} task(s) failed:\n"
+                         + "\n".join(self.details))
+
+
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve a job count: argument > ``$REPRO_JOBS`` > 1.
 
@@ -116,7 +115,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 def _ignore_sigint() -> None:
-    """Worker initializer: leave Ctrl-C to the coordinator.
+    """Worker prologue: leave Ctrl-C to the coordinator.
 
     A terminal SIGINT goes to the whole foreground process group, so
     without this every worker would print its own ``KeyboardInterrupt``
@@ -142,107 +141,6 @@ def _args_repr(args: Tuple, limit: int = 200) -> str:
 
 def _fn_name(fn: Callable) -> str:
     return getattr(fn, "__name__", repr(fn))
-
-
-def _annotate(exc: BaseException, fn: Callable, index: int,
-              args: Tuple) -> BaseException:
-    """Rebuild ``exc`` with the failing task's identity in its message.
-
-    The original exception *type* is preserved whenever it can be
-    constructed from a single message string (the common case);
-    otherwise a ``RuntimeError`` carries the identity instead.  Either
-    way the returned exception exposes ``task_index`` / ``task_args``.
-    """
-    note = (f"{exc} [while running task #{index}: "
-            f"{_fn_name(fn)}{_args_repr(args)}]")
-    try:
-        annotated: BaseException = type(exc)(note)
-    except Exception:
-        annotated = RuntimeError(f"{type(exc).__name__}: {note}")
-    annotated.task_index = index          # type: ignore[attr-defined]
-    annotated.task_args = _args_repr(args)  # type: ignore[attr-defined]
-    return annotated
-
-
-def _call_identified(fn: Callable, index: int, args: Tuple) -> Any:
-    """Run one task; re-raise any failure with the task identity."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        raise _annotate(exc, fn, index, args) from exc
-
-
-def parallel_map(fn: Callable, tasks: Sequence[Tuple],
-                 jobs: Optional[int] = None,
-                 on_result: Optional[Callable[[int, Any], None]] = None
-                 ) -> List:
-    """Apply ``fn`` to argument tuples, returning results in task order.
-
-    With ``jobs <= 1`` (or fewer than two tasks) this is literally
-    ``[fn(*t) for t in tasks]``.  Otherwise tasks are submitted to a
-    :class:`~concurrent.futures.ProcessPoolExecutor` and the futures are
-    drained in submission order, so result ordering never depends on
-    worker scheduling.  ``fn`` must be a module-level (picklable)
-    function and the argument tuples and results picklable values.
-
-    Exceptions raised *inside* a worker propagate with their original
-    type and the failing task's index/arguments appended to the message
-    (matching serial behaviour); a worker that dies outright raises
-    :class:`WorkerCrashError` carrying the same identity.
-
-    ``on_result(index, result)`` is invoked in the parent process, in
-    task order, as each result becomes available — the checkpoint hook:
-    a kill mid-campaign keeps everything already reported.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    tasks = list(tasks)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(tasks) <= 1:
-        results = []
-        for i, t in enumerate(tasks):
-            result = _call_identified(fn, i, t)
-            if on_result is not None:
-                on_result(i, result)
-            results.append(result)
-        return results
-    workers = min(jobs, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_ignore_sigint) as pool:
-        futures = [pool.submit(_call_identified, fn, i, t)
-                   for i, t in enumerate(tasks)]
-        results = []
-        for i, f in enumerate(futures):
-            try:
-                result = f.result()
-            except KeyboardInterrupt:
-                # Drain fast: cancel queued tasks, kill the workers (they
-                # ignore SIGINT) and let the caller report once.
-                for fut in futures:
-                    fut.cancel()
-                for proc in getattr(pool, "_processes", {}).values():
-                    proc.terminate()
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            except BrokenProcessPool as err:
-                candidates = [
-                    j for j, fut in enumerate(futures)
-                    if not fut.done() or (fut.cancelled() or isinstance(
-                        fut.exception(), BrokenProcessPool))]
-                first = candidates[0] if candidates else i
-                raise WorkerCrashError(
-                    f"a worker process crashed while running "
-                    f"{_fn_name(fn)!r} ({len(tasks)} tasks, {workers} "
-                    f"workers); first unfinished task #{first}: "
-                    f"{_fn_name(fn)}{_args_repr(tasks[first])} "
-                    f"({len(candidates)} task(s) in doubt)",
-                    task_index=first, task_args=_args_repr(tasks[first]),
-                    candidate_indices=candidates) from err
-            if on_result is not None:
-                on_result(i, result)
-            results.append(result)
-        return results
 
 
 # ----------------------------------------------------------------------
@@ -418,3 +316,21 @@ def robust_map(fn: Callable, tasks: Sequence[Tuple],
             run.conn.close()
     failures.sort(key=lambda f: f.index)
     return results, failures
+
+
+def parallel_map(fn: Callable, tasks: Sequence[Tuple],
+                 jobs: Optional[int] = None) -> List:
+    """Apply ``fn`` to argument tuples, returning results in task order.
+
+    With ``jobs <= 1`` (or fewer than two tasks) this is literally
+    ``[fn(*t) for t in tasks]``.  Otherwise the tasks run through
+    :func:`robust_map` (``fn`` and its arguments and results must
+    pickle) and any failure raises one :class:`TaskError`.
+    """
+    tasks = list(tasks)
+    if resolve_jobs(jobs) <= 1 or len(tasks) <= 1:
+        return [fn(*t) for t in tasks]
+    results, failures = robust_map(fn, tasks, jobs=jobs)
+    if failures:
+        raise TaskError([f.describe() for f in failures], failures)
+    return results

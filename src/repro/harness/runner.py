@@ -57,7 +57,8 @@ class TrialStats:
     nodes: int
     durations: List[float] = field(default_factory=list)
     failures: List[str] = field(default_factory=list)
-    results: List[EngineRunResult] = field(default_factory=list)
+    #: Kernel events over every trial.
+    sim_events: int = 0
 
     @property
     def trials(self) -> int:
@@ -266,13 +267,18 @@ def run_trials(engine_name: str, workload: Workload,
                config: ExperimentConfig, trials: int = 3,
                base_seed: int = 0, strict: Optional[bool] = None
                ) -> TrialStats:
-    """Repeat :func:`run_once` with fresh deployments and varied seeds."""
+    """Repeat :func:`run_once` with fresh deployments and varied seeds.
+
+    Every trial runs, even after one fails.  Only durations are kept,
+    so tracing is off (strict runs re-enable it).
+    """
     stats = TrialStats(engine=engine_name, workload=workload.name,
                        nodes=config.nodes)
     for t in range(trials):
         result = run_once(engine_name, workload, config,
-                          seed=base_seed + 1000 * t, strict=strict)
-        stats.results.append(result)
+                          seed=base_seed + 1000 * t, strict=strict,
+                          trace_detail="off")
+        stats.sim_events += result.sim_events or 0
         if result.success:
             stats.durations.append(result.duration)
         else:

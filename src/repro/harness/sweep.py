@@ -16,11 +16,10 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO
 
 from ..config.presets import ExperimentConfig
-from ..validation.digest import digest_payload
 from ..validation.invariants import strict_enabled
 from ..workloads.base import Workload
 from .parallel import parallel_map
-from .runner import run_once
+from .runner import run_trials
 
 __all__ = ["sweep", "sweep_rows_to_csv", "best_row"]
 
@@ -50,43 +49,28 @@ def _combo_task(engine: str, workload: Workload, config: ExperimentConfig,
                 strict: bool) -> Dict[str, object]:
     """Run every trial of one grid combination and build its row.
 
-    All ``trials`` run even if one fails: a mid-sequence failure used to
-    throw away the durations already measured, which made multi-trial
-    sweeps report NaN for combinations that mostly worked.  The row now
-    carries the mean over the completed trials plus ``completed_trials``
-    so callers can judge how much evidence backs the number.  Sweeps
-    only report durations, so tracing is off (strict runs re-enable it).
+    The row carries the mean over the trials that completed plus
+    ``completed_trials``, so callers can judge how much evidence backs
+    the number, and the first failure message (``""`` if none).
     """
-    durations: List[float] = []
-    failure: Optional[str] = None
-    sim_events = 0
-    for t in range(trials):
-        result = run_once(engine, workload, config,
-                          seed=base_seed + 1000 * t, strict=strict,
-                          trace_detail="off")
-        sim_events += result.sim_events or 0
-        if result.success:
-            durations.append(result.duration)
-        elif failure is None:
-            failure = result.failure or "unknown failure"
+    stats = run_trials(engine, workload, config, trials, base_seed, strict)
     row: Dict[str, object] = dict(overrides)
     row["engine"] = engine
     row["workload"] = workload.name
-    row["completed_trials"] = len(durations)
-    if durations:
-        row["mean_seconds"] = sum(durations) / len(durations)
+    row["completed_trials"] = len(stats.durations)
+    if stats.durations:
+        row["mean_seconds"] = sum(stats.durations) / len(stats.durations)
     else:
         row["mean_seconds"] = math.nan
-    row["failure"] = failure or ""
-    row["sim_events"] = sim_events
+    row["failure"] = stats.failures[0] if stats.failures else ""
+    row["sim_events"] = stats.sim_events
     return row
 
 
 def sweep(engine: str, workload: Workload, base_config: ExperimentConfig,
           grid: Dict[str, Sequence], trials: int = 1,
           base_seed: int = 0, strict: Optional[bool] = None,
-          jobs: Optional[int] = None,
-          checkpoint=None) -> List[Dict[str, object]]:
+          jobs: Optional[int] = None) -> List[Dict[str, object]]:
     """Run the cartesian product of ``grid`` values.
 
     ``grid`` keys use dotted paths: ``"spark.default_parallelism"``,
@@ -98,46 +82,18 @@ def sweep(engine: str, workload: Workload, base_config: ExperimentConfig,
     ``jobs`` fans the combinations across worker processes (default
     ``$REPRO_JOBS`` or serial); every combination is an independent
     deterministic run, so the rows are identical either way.
-
-    ``checkpoint`` (a :class:`~repro.harness.checkpoint.
-    CheckpointStore`) journals every finished row as it completes;
-    rerunning a killed sweep against the resumed store replays the
-    journaled rows and computes only the missing combinations — the
-    merged row list is bit-identical to an uninterrupted sweep.
     """
     if not grid:
         raise ValueError("empty sweep grid")
     keys = list(grid)
     strict_flag = strict_enabled(strict)
     tasks = []
-    row_keys = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         config = _apply_overrides(base_config, overrides)
         tasks.append((engine, workload, config, overrides, trials,
                       base_seed, strict_flag))
-        row_keys.append(digest_payload({
-            "engine": engine, "workload": workload.name,
-            "overrides": {k: v for k, v in overrides.items()},
-            "trials": trials, "base_seed": base_seed}))
-    if checkpoint is None:
-        return parallel_map(_combo_task, tasks, jobs=jobs)
-    rows: List[Optional[Dict[str, object]]] = [None] * len(tasks)
-    pending = []
-    for i, key in enumerate(row_keys):
-        if key in checkpoint:
-            rows[i] = checkpoint.load(key)
-        else:
-            pending.append(i)
-    if pending:
-        def _journal(pos: int, row: Dict[str, object]) -> None:
-            checkpoint.save(row_keys[pending[pos]], row)
-
-        fresh = parallel_map(_combo_task, [tasks[i] for i in pending],
-                             jobs=jobs, on_result=_journal)
-        for pos, row in zip(pending, fresh):
-            rows[pos] = row
-    return rows  # type: ignore[return-value]
+    return parallel_map(_combo_task, tasks, jobs=jobs)
 
 
 def best_row(rows: Iterable[Dict[str, object]]) -> Dict[str, object]:

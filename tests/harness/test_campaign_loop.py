@@ -4,14 +4,21 @@ The contract (see ``repro/harness/checkpoint.py``): every campaign runs
 through :func:`journaled_map`, which replays journaled cells, journals
 fresh ones and reports a gap by its *cell* index; and every campaign's
 store fingerprint and cell keys come from one identity dict that holds
-each argument of its sweep except the execution ones.
+each argument of its sweep except the execution ones.  The scaling
+figures fig01-fig17 journal through the same loop, keyed by the same
+kind of identity.
 """
+
+import inspect
 
 import pytest
 
 from repro.harness.checkpoint import (EXECUTION_PARAMS, CheckpointError,
                                       CheckpointStore, campaign_identity,
                                       journaled_map)
+from repro.harness.figures import (fig01_wordcount_weak,
+                                   fig02_wordcount_strong, fig04_grep_weak,
+                                   scaling_identity)
 from repro.resilience.sweep import (ResilienceCell, campaign_fingerprint,
                                     default_workloads, resilience_sweep)
 from repro.scheduler.jobs import JobTemplate
@@ -23,7 +30,8 @@ from repro.streaming.sweep import (degradation_campaign_fingerprint,
                                    degradation_sweep,
                                    streaming_campaign_fingerprint,
                                    streaming_sweep)
-from repro.validation.digest import digest_payload, resilience_payload
+from repro.validation.digest import (digest_payload, resilience_payload,
+                                     scaling_payload)
 
 
 def _square_or_fail(x):
@@ -98,6 +106,11 @@ CHANGES = {
         "templates": default_templates(8)[:2],
         "queues": (QueueConfig("prod"), QueueConfig("batch", quota=2)),
         "figure_id": "fig23b"}),
+    # ``repro figure fig02``: the scaling figures' identity.
+    "fig02": (fig02_wordcount_strong,
+              lambda **params: scaling_identity(
+                  "fig02", fig02_wordcount_strong, params),
+              {"trials": 2, "seed": 1, "gb_per_node": (24,), "nodes": 4}),
 }
 
 
@@ -115,9 +128,20 @@ def test_fingerprint_changes_with_every_identity_parameter(campaign):
 
 @pytest.mark.parametrize("campaign", sorted(CHANGES))
 def test_execution_parameters_are_not_identity(campaign):
-    _sweep, fingerprint, _changes = CHANGES[campaign]
-    assert fingerprint(strict=True, jobs=2, timeout=9.0, retries=3,
-                       backoff=0.1, checkpoint=None) == fingerprint()
+    sweep, fingerprint, _changes = CHANGES[campaign]
+    execution = dict(strict=True, jobs=2, timeout=9.0, retries=3,
+                     backoff=0.1, checkpoint=None)
+    accepted = inspect.signature(sweep).parameters
+    assert fingerprint(**{name: value for name, value in execution.items()
+                          if name in accepted}) == fingerprint()
+
+
+def test_scaling_fingerprint_names_its_figure():
+    # fig01 and fig04 take the same arguments with the same defaults.
+    assert (digest_payload(scaling_identity("fig01", fig01_wordcount_weak,
+                                            {}))
+            != digest_payload(scaling_identity("fig04", fig04_grep_weak,
+                                               {})))
 
 
 def test_tenancy_fingerprint_holds_template_contents():
@@ -188,3 +212,32 @@ def test_pre_change_tenancy_store_is_refused(tmp_path):
     with pytest.raises(CheckpointError, match="different campaign"):
         CheckpointStore(tmp_path / "s", tenancy_campaign_fingerprint(
             trials=3), resume=True)
+
+
+#: What ``repro figure fig02 --trials 1 --checkpoint`` pinned before
+#: the scaling figures had a campaign identity.
+PRE_CHANGE_FIG02 = {"figure_id": "fig02", "trials": 1, "seed": 0}
+
+
+def test_scaling_cell_keys_cover_every_figure_argument(tmp_path):
+    # The old data-point keys left out ``nodes``: a 4-node resume of a
+    # 2-node store replayed the 2-node records as its own.
+    kwargs = dict(trials=1, gb_per_node=(1,))
+    plain = fig02_wordcount_strong(**kwargs, nodes=4)
+    with CheckpointStore(tmp_path / "s", PRE_CHANGE_FIG02) as store:
+        fig02_wordcount_strong(**kwargs, nodes=2, checkpoint=store)
+    with CheckpointStore(tmp_path / "s", PRE_CHANGE_FIG02,
+                         resume=True) as store:
+        resumed = fig02_wordcount_strong(**kwargs, nodes=4,
+                                         checkpoint=store)
+    assert resumed.trials_raw["flink"][0].nodes == 4
+    assert (digest_payload(scaling_payload(resumed))
+            == digest_payload(scaling_payload(plain)))
+
+
+def test_pre_change_scaling_store_is_refused(tmp_path):
+    CheckpointStore(tmp_path / "s", PRE_CHANGE_FIG02).close()
+    with pytest.raises(CheckpointError, match="different campaign"):
+        CheckpointStore(tmp_path / "s", scaling_identity(
+            "fig02", fig02_wordcount_strong, {"trials": 1, "seed": 0}),
+            resume=True)

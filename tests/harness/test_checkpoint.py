@@ -17,14 +17,11 @@ import time
 
 import pytest
 
-from repro.config.presets import GiB, wordcount_grep_preset
 from repro.harness.checkpoint import CheckpointError, CheckpointStore
 from repro.harness.figures import fig01_wordcount_weak, fig19_resilience
-from repro.harness.sweep import sweep
 from repro.resilience import campaign_fingerprint, default_workloads
 from repro.validation.digest import (digest_payload, resilience_payload,
                                      scaling_payload)
-from repro.workloads import WordCount
 
 
 # ----------------------------------------------------------------------
@@ -163,21 +160,8 @@ def test_on_corrupt_rejects_unknown_modes(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# resume identity: sweep / figure / resilience
+# resume identity: figure / resilience
 # ----------------------------------------------------------------------
-def test_sweep_resume_identity(tmp_path):
-    cfg = wordcount_grep_preset(2)
-    wl = WordCount(2 * 8 * GiB)
-    grid = {"spark.default_parallelism": [64, 384]}
-    plain = sweep("spark", wl, cfg, grid)
-    with CheckpointStore(tmp_path / "s", "sweep-fp") as store:
-        first = sweep("spark", wl, cfg, grid, checkpoint=store)
-    with CheckpointStore(tmp_path / "s", "sweep-fp", resume=True) as store:
-        resumed = sweep("spark", wl, cfg, grid, checkpoint=store)
-    assert (digest_payload(plain) == digest_payload(first)
-            == digest_payload(resumed))
-
-
 def test_scaling_figure_resume_identity(tmp_path):
     plain = fig01_wordcount_weak(trials=1, nodes=(2, 4))
     with CheckpointStore(tmp_path / "s", "fig01-fp") as store:

@@ -5,7 +5,9 @@ parallel run is *bit-identical* to the serial one: every run is an
 independently seeded simulation and results are collected in submission
 order.  These tests pin that claim with canonical digests over full
 figure payloads, and cover the failure modes (worker exceptions, worker
-crashes) and the ``jobs`` resolution rules.
+crashes) and the ``jobs`` resolution rules.  :func:`parallel_map` is
+the fail-fast front of :func:`robust_map`: serially an exception keeps
+its type; across workers every failure is one :class:`TaskError`.
 """
 
 import math
@@ -16,9 +18,8 @@ import pytest
 
 from repro.config.presets import wordcount_grep_preset
 from repro.harness import figures
-from repro.harness.parallel import (ENV_JOBS, TaskFailure,
-                                    WorkerCrashError, parallel_map,
-                                    resolve_jobs, robust_map)
+from repro.harness.parallel import (ENV_JOBS, TaskError, TaskFailure,
+                                    parallel_map, resolve_jobs, robust_map)
 from repro.harness.sweep import sweep
 from repro.validation.digest import (digest_payload, fault_payload,
                                      scaling_payload)
@@ -90,40 +91,35 @@ def test_parallel_map_single_task_stays_serial():
 
 
 def test_worker_exception_propagates_with_type():
+    # Serially the task's own exception escapes, type and all.
     with pytest.raises(ValueError, match="boom"):
-        parallel_map(_raise_value_error, [("boom",), ("boom",)], jobs=2)
+        parallel_map(_raise_value_error, [("boom",), ("boom",)], jobs=1)
 
 
 def test_worker_exception_carries_task_identity():
-    # The re-raised exception names the failing task — index, function
-    # and arguments — both serially and across process boundaries.
-    for jobs in (1, 2):
-        with pytest.raises(ValueError) as info:
-            parallel_map(_flaky, [(1,), (13,)], jobs=jobs)
-        assert "task #1" in str(info.value)
-        assert "_flaky" in str(info.value)
-        assert "13" in str(info.value)
+    # Across workers the failure names the task — index, function,
+    # arguments — and the exception type it raised.
+    with pytest.raises(TaskError) as info:
+        parallel_map(_flaky, [(1,), (13,)], jobs=2)
+    text = str(info.value)
+    for part in ("task #1", "_flaky", "13", "ValueError"):
+        assert part in text
+    assert [f.index for f in info.value.failures] == [1]
 
 
-def test_worker_crash_raises_worker_crash_error():
-    with pytest.raises(WorkerCrashError):
+def test_worker_crash_raises_task_error_of_kind_crash():
+    with pytest.raises(TaskError) as info:
         parallel_map(_die, [(1,), (2,)], jobs=2)
+    assert [f.kind for f in info.value.failures] == ["crash", "crash"]
 
 
 def test_worker_crash_error_names_candidate_tasks():
-    with pytest.raises(WorkerCrashError) as info:
+    # Every task whose worker died is listed, not just the first.
+    with pytest.raises(TaskError) as info:
         parallel_map(_die, [(1,), (2,)], jobs=2)
-    err = info.value
-    assert err.task_index in (0, 1)
-    assert "_die" in str(err)
-    assert err.candidate_indices  # the unfinished tasks are listed
-
-
-def test_on_result_fires_per_completed_task():
-    seen = {}
-    parallel_map(_square, [(2,), (3,)], jobs=1,
-                 on_result=lambda i, r: seen.__setitem__(i, r))
-    assert seen == {0: 4, 1: 9}
+    assert [f.index for f in info.value.failures] == [0, 1]
+    assert "task #0 _die(1,)" in str(info.value)
+    assert "task #1 _die(2,)" in str(info.value)
 
 
 # ----------------------------------------------------------------------
